@@ -12,9 +12,9 @@
 //                  [--out FILE] [--trace FILE]
 //
 // Note: campaign speedup is bounded by the machine's core count (each grid
-// point already spawns p simulated-rank threads), so expect flat scaling on
-// a single-core runner — the CSV-identity check still exercises the
-// concurrent path.
+// point runs its p simulated ranks as fibers on one campaign thread), so
+// expect flat scaling on a single-core runner — the CSV-identity check still
+// exercises the concurrent path.
 #include <sys/resource.h>
 
 #include <chrono>

@@ -37,10 +37,6 @@ void RegionProfiler::exit() {
   current_ = nodes_[current_].parent;
 }
 
-void RegionProfiler::add(const OpCounters& delta) {
-  nodes_[current_].exclusive += delta;
-}
-
 std::size_t RegionProfiler::depth() const {
   std::size_t depth = 0;
   std::size_t node = current_;

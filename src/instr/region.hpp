@@ -37,8 +37,9 @@ class RegionProfiler {
   /// Closes the innermost region; throws if only the root is open.
   void exit();
 
-  /// Adds counters to the innermost open region.
-  void add(const OpCounters& delta);
+  /// Adds counters to the innermost open region. Inline: every
+  /// ProcessInstrumentation::count_* call lands here.
+  void add(const OpCounters& delta) { nodes_[current_].exclusive += delta; }
 
   /// Depth of open regions (root excluded).
   std::size_t depth() const;

@@ -79,12 +79,12 @@ std::size_t MeasurementSet::parameter_index(const std::string& name) const {
 void MeasurementSet::validate_for_modeling(std::size_t min_distinct) const {
   for (std::size_t l = 0; l < parameter_names_.size(); ++l) {
     const std::size_t distinct = distinct_values(l).size();
-    exareq::require(
-        distinct >= min_distinct,
-        "MeasurementSet: parameter '" + parameter_names_[l] + "' has only " +
-            std::to_string(distinct) + " distinct values; need at least " +
-            std::to_string(min_distinct) +
-            " (paper rule of thumb, Sec. II-C)");
+    if (distinct < min_distinct) {
+      throw exareq::InvalidArgument(
+          "MeasurementSet: parameter '" + parameter_names_[l] + "' has only " +
+          std::to_string(distinct) + " distinct values; need at least " +
+          std::to_string(min_distinct) + " (paper rule of thumb, Sec. II-C)");
+    }
   }
 }
 

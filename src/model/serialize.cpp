@@ -20,9 +20,10 @@ double parse_double(const std::string& token, const char* what) {
   const char* begin = token.data();
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  exareq::require(ec == std::errc{} && ptr == end,
-                  std::string("parse_model: bad number in ") + what + ": '" +
-                      token + "'");
+  if (ec != std::errc{} || ptr != end) {
+    throw exareq::InvalidArgument(std::string("parse_model: bad number in ") +
+                                  what + ": '" + token + "'");
+  }
   return value;
 }
 
@@ -30,8 +31,10 @@ std::size_t parse_index(const std::string& token, std::size_t limit,
                         const char* what) {
   const double value = parse_double(token, what);
   const auto index = static_cast<std::size_t>(value);
-  exareq::require(static_cast<double>(index) == value && index < limit,
-                  std::string("parse_model: bad parameter index in ") + what);
+  if (static_cast<double>(index) != value || index >= limit) {
+    throw exareq::InvalidArgument(
+        std::string("parse_model: bad parameter index in ") + what);
+  }
   return index;
 }
 

@@ -13,16 +13,19 @@ namespace {
 void require_positive_integer(const exareq::CsvDocument& doc, std::size_t row,
                               std::size_t column, const char* what) {
   const double value = doc.number_at(row, column);
-  exareq::require(value >= 1.0 && value == std::floor(value),
-                  std::string("ingest row ") + std::to_string(row + 1) + ": " +
-                      what + " must be a positive integer, got '" +
-                      doc.rows()[row][column] + "'");
+  if (value < 1.0 || value != std::floor(value)) {
+    throw exareq::InvalidArgument(
+        std::string("ingest row ") + std::to_string(row + 1) + ": " + what +
+        " must be a positive integer, got '" + doc.rows()[row][column] + "'");
+  }
 }
 
 void require_non_negative(double value, std::size_t row, const char* what) {
-  exareq::require(value >= 0.0, std::string("ingest row ") +
-                                    std::to_string(row + 1) + ": " + what +
-                                    " must be non-negative");
+  if (!(value >= 0.0)) {
+    throw exareq::InvalidArgument(std::string("ingest row ") +
+                                  std::to_string(row + 1) + ": " + what +
+                                  " must be non-negative");
+  }
 }
 
 }  // namespace

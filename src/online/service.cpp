@@ -27,11 +27,12 @@ std::string lowercase(std::string text) {
 OnlineService::OnlineService(serve::ModelRegistry& registry,
                              OnlineServiceOptions options,
                              IncrementalRefitter::FitFn fit,
-                             IngestBuffer::Clock clock)
+                             IngestBuffer::Clock clock, BeforeTake before_take)
     : registry_(registry),
       options_(std::move(options)),
       buffer_(options_.policy, std::move(clock)),
-      refitter_(registry, options_.refit, std::move(fit)) {
+      refitter_(registry, options_.refit, std::move(fit)),
+      before_take_(std::move(before_take)) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -118,10 +119,18 @@ void OnlineService::worker_loop() {
     const std::string key = queue_.front();
     queue_.pop_front();
     queued_.erase(key);
+    const bool retry = retry_.erase(key) > 0;
     busy_ = true;
     lock.unlock();
 
+    if (before_take_) before_take_(key);
     std::vector<pipeline::AppMeasurement> rows = buffer_.take(key);
+    if (rows.empty() && !retry) {
+      // Queued again (by drain() or an ingest) after an earlier pass had
+      // already dequeued the key and then took its rows: nothing is new.
+      lock.lock();
+      continue;
+    }
     const RefitOutcome outcome = refitter_.refit(key, std::move(rows));
 
     auto& metrics = obs::MetricRegistry::instance();
@@ -130,6 +139,7 @@ void OnlineService::worker_loop() {
       // The registry's single-flight gate was busy (a query-triggered fit
       // of the same app is running); the rows are already accumulated in
       // the refitter, so retry shortly with an empty batch.
+      retry_.insert(key);
       if (queued_.insert(key).second) queue_.push_back(key);
       work_ready_.wait_for(lock, std::chrono::milliseconds(5));
       continue;

@@ -25,6 +25,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -57,12 +58,18 @@ struct OnlineStats {
 
 class OnlineService {
  public:
-  /// `registry` must outlive the service. `fit`/`clock` are test seams
-  /// (empty = real fitter / steady_clock).
+  /// Test seam: runs on the worker after it dequeued `key` and before it
+  /// takes the key's staged rows — the window in which a concurrent
+  /// drain() or ingest can queue the same key again.
+  using BeforeTake = std::function<void(const std::string& key)>;
+
+  /// `registry` must outlive the service. `fit`/`clock`/`before_take` are
+  /// test seams (empty = real fitter / steady_clock / nothing).
   explicit OnlineService(serve::ModelRegistry& registry,
                          OnlineServiceOptions options = {},
                          IncrementalRefitter::FitFn fit = {},
-                         IngestBuffer::Clock clock = {});
+                         IngestBuffer::Clock clock = {},
+                         BeforeTake before_take = {});
   ~OnlineService();
 
   OnlineService(const OnlineService&) = delete;
@@ -104,12 +111,16 @@ class OnlineService {
   OnlineServiceOptions options_;
   IngestBuffer buffer_;
   IncrementalRefitter refitter_;
+  BeforeTake before_take_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable idle_;
   std::deque<std::string> queue_;
   std::set<std::string> queued_;  ///< dedupe: a key is queued at most once
+  /// Queued keys whose single-flight gate was busy: their rows are already
+  /// in the refitter, so the next pass refits even when it takes none.
+  std::set<std::string> retry_;
   bool busy_ = false;             ///< worker is mid-refit
   bool stopping_ = false;
   OnlineStats stats_;

@@ -1,5 +1,7 @@
 #include "pipeline/campaign.hpp"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -408,6 +410,11 @@ CampaignData run_campaign(const apps::Application& app,
   } else {
     dag.run(exareq::shared_pool(threads));
   }
+  // A grid point's ranks all allocate in the malloc arena of the campaign
+  // thread that runs them, and glibc keeps up to its (dynamic) trim
+  // threshold of an arena's freed memory, so without this every campaign
+  // thread would hold on to the largest grid point's data it measured.
+  malloc_trim(0);
 
   if (config.locality.enabled) {
     for (std::size_t n_idx = 0; n_idx < n_count; ++n_idx) {

@@ -99,8 +99,8 @@ AppMeasurement measure_app(const apps::Application& app, int p, std::int64_t n,
   exareq::require(n >= app.min_problem_size(),
                   "measure_app: problem size below the application minimum");
 
-  // One instrumentation context per rank, owned here so the rank threads
-  // only ever touch their own slot.
+  // One instrumentation context per rank, owned here so each rank only
+  // ever touches its own slot.
   std::vector<std::unique_ptr<instr::ProcessInstrumentation>> contexts;
   contexts.reserve(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {

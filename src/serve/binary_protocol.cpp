@@ -34,17 +34,20 @@ void put_f64(std::string& out, double value) {
 }
 
 void put_str16(std::string& out, std::string_view text, const char* what) {
-  exareq::require(text.size() <= std::numeric_limits<std::uint16_t>::max(),
-                  std::string("binary: ") + what + " exceeds " +
-                      std::to_string(std::numeric_limits<std::uint16_t>::max()) +
-                      " bytes");
+  if (text.size() > std::numeric_limits<std::uint16_t>::max()) {
+    throw exareq::InvalidArgument(
+        std::string("binary: ") + what + " exceeds " +
+        std::to_string(std::numeric_limits<std::uint16_t>::max()) + " bytes");
+  }
   put_u16(out, static_cast<std::uint16_t>(text.size()));
   out.append(text);
 }
 
 void put_str32(std::string& out, std::string_view text, const char* what) {
-  exareq::require(text.size() <= std::numeric_limits<std::uint32_t>::max(),
-                  std::string("binary: ") + what + " exceeds a u32 length");
+  if (text.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw exareq::InvalidArgument(std::string("binary: ") + what +
+                                  " exceeds a u32 length");
+  }
   put_u32(out, static_cast<std::uint32_t>(text.size()));
   out.append(text);
 }
@@ -92,8 +95,10 @@ class Reader {
 
  private:
   const unsigned char* take(std::size_t count, const char* what) {
-    exareq::require(remaining() >= count,
-                    std::string("binary: frame truncated reading ") + what);
+    if (remaining() < count) {
+      throw exareq::InvalidArgument(
+          std::string("binary: frame truncated reading ") + what);
+    }
     const unsigned char* p =
         reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
     pos_ += count;
@@ -123,25 +128,31 @@ Reader open_frame(std::string_view frame, std::uint8_t expected_magic) {
                   "binary: frame shorter than its 8-byte header");
   Reader header(frame.substr(0, kHeaderBytes));
   const std::uint8_t magic = header.u8("magic");
-  exareq::require(magic == expected_magic,
-                  "binary: bad magic 0x" + std::to_string(magic) +
-                      " (expected 0x" + std::to_string(expected_magic) + ")");
+  if (magic != expected_magic) {
+    throw exareq::InvalidArgument(
+        "binary: bad magic 0x" + std::to_string(magic) + " (expected 0x" +
+        std::to_string(expected_magic) + ")");
+  }
   const std::uint8_t version = header.u8("version");
-  exareq::require(version == kVersion,
-                  "binary: unsupported version " + std::to_string(version) +
-                      " (this server speaks version " +
-                      std::to_string(kVersion) + ")");
+  if (version != kVersion) {
+    throw exareq::InvalidArgument(
+        "binary: unsupported version " + std::to_string(version) +
+        " (this server speaks version " + std::to_string(kVersion) + ")");
+  }
   const std::uint8_t kind = header.u8("kind");
-  exareq::require(kind == kKindBatch,
-                  "binary: unsupported frame kind " + std::to_string(kind));
+  if (kind != kKindBatch) {
+    throw exareq::InvalidArgument("binary: unsupported frame kind " +
+                                  std::to_string(kind));
+  }
   const std::uint8_t reserved = header.u8("reserved");
   exareq::require(reserved == 0, "binary: reserved header byte must be 0");
   const std::uint32_t payload_len = header.u32("payload length");
-  exareq::require(frame.size() - kHeaderBytes == payload_len,
-                  "binary: declared payload length " +
-                      std::to_string(payload_len) + " does not match the " +
-                      std::to_string(frame.size() - kHeaderBytes) +
-                      " bytes received");
+  if (frame.size() - kHeaderBytes != payload_len) {
+    throw exareq::InvalidArgument(
+        "binary: declared payload length " + std::to_string(payload_len) +
+        " does not match the " + std::to_string(frame.size() - kHeaderBytes) +
+        " bytes received");
+  }
   return Reader(frame.substr(kHeaderBytes));
 }
 
@@ -153,8 +164,10 @@ Request RequestView::materialize() const {
     case Opcode::kEval:
       request.kind = RequestKind::kEval;
       request.app = std::string(app);
-      exareq::require(metric_id < metric_names().size(),
-                      "binary: unknown metric id " + std::to_string(metric_id));
+      if (metric_id >= metric_names().size()) {
+        throw exareq::InvalidArgument("binary: unknown metric id " +
+                                      std::to_string(metric_id));
+      }
       request.metric = metric_names()[metric_id];
       request.p = p;
       request.n = n;
@@ -193,8 +206,10 @@ std::string encode_request_frame(const std::vector<Request>& requests) {
         const auto& names = metric_names();
         const auto it =
             std::find(names.begin(), names.end(), request.metric);
-        exareq::require(it != names.end(),
-                        "binary: unknown metric '" + request.metric + "'");
+        if (it == names.end()) {
+          throw exareq::InvalidArgument("binary: unknown metric '" +
+                                        request.metric + "'");
+        }
         put_u8(payload, static_cast<std::uint8_t>(Opcode::kEval));
         put_str16(payload, request.app, "application name");
         put_u8(payload, static_cast<std::uint8_t>(it - names.begin()));
@@ -247,9 +262,11 @@ std::vector<RequestView> decode_request_frame(std::string_view frame) {
   const std::uint32_t count = reader.u32("record count");
   // Every record is at least one opcode byte, so a count beyond the
   // remaining payload is malformed — reject before reserving memory for it.
-  exareq::require(count <= reader.remaining(),
-                  "binary: record count " + std::to_string(count) +
-                      " exceeds the frame payload");
+  if (count > reader.remaining()) {
+    throw exareq::InvalidArgument("binary: record count " +
+                                  std::to_string(count) +
+                                  " exceeds the frame payload");
+  }
   std::vector<RequestView> views;
   views.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -288,26 +305,32 @@ std::vector<RequestView> decode_request_frame(std::string_view frame) {
     }
     views.push_back(view);
   }
-  exareq::require(reader.remaining() == 0,
-                  "binary: " + std::to_string(reader.remaining()) +
-                      " trailing bytes after the last record");
+  if (reader.remaining() != 0) {
+    throw exareq::InvalidArgument("binary: " +
+                                  std::to_string(reader.remaining()) +
+                                  " trailing bytes after the last record");
+  }
   return views;
 }
 
 std::vector<std::string> decode_response_frame(std::string_view frame) {
   Reader reader = open_frame(frame, kResponseMagic);
   const std::uint32_t count = reader.u32("record count");
-  exareq::require(count <= reader.remaining(),
-                  "binary: record count " + std::to_string(count) +
-                      " exceeds the frame payload");
+  if (count > reader.remaining()) {
+    throw exareq::InvalidArgument("binary: record count " +
+                                  std::to_string(count) +
+                                  " exceeds the frame payload");
+  }
   std::vector<std::string> lines;
   lines.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     lines.emplace_back(reader.str32("response line"));
   }
-  exareq::require(reader.remaining() == 0,
-                  "binary: " + std::to_string(reader.remaining()) +
-                      " trailing bytes after the last record");
+  if (reader.remaining() != 0) {
+    throw exareq::InvalidArgument("binary: " +
+                                  std::to_string(reader.remaining()) +
+                                  " trailing bytes after the last record");
+  }
   return lines;
 }
 

@@ -25,8 +25,10 @@ double parse_number(const std::string& token, const char* what) {
   const char* begin = token.data();
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  exareq::require(ec == std::errc{} && ptr == end,
-                  std::string("bad ") + what + ": '" + token + "'");
+  if (ec != std::errc{} || ptr != end) {
+    throw exareq::InvalidArgument(std::string("bad ") + what + ": '" + token +
+                                  "'");
+  }
   return value;
 }
 
@@ -39,9 +41,10 @@ std::string lowercase(std::string text) {
 
 void expect_arity(const std::vector<std::string>& tokens, std::size_t arity,
                   const char* form) {
-  exareq::require(tokens.size() == arity,
-                  std::string("request '") + tokens[0] + "' expects the form '" +
-                      form + "'");
+  if (tokens.size() != arity) {
+    throw exareq::InvalidArgument(std::string("request '") + tokens[0] +
+                                  "' expects the form '" + form + "'");
+  }
 }
 
 }  // namespace
@@ -59,11 +62,13 @@ void validate_request(const Request& request) {
   switch (request.kind) {
     case RequestKind::kEval: {
       const auto& names = metric_names();
-      exareq::require(
-          std::find(names.begin(), names.end(), request.metric) != names.end(),
-          "unknown metric '" + request.metric +
-              "' (expected footprint|flops|comm_bytes|loads_stores|"
-              "stack_distance|io_bytes|energy_proxy)");
+      if (std::find(names.begin(), names.end(), request.metric) ==
+          names.end()) {
+        throw exareq::InvalidArgument(
+            "unknown metric '" + request.metric +
+            "' (expected footprint|flops|comm_bytes|loads_stores|"
+            "stack_distance|io_bytes|energy_proxy)");
+      }
       exareq::require(request.p >= 1.0 && request.n >= 1.0,
                       "eval coordinates must be >= 1");
       break;

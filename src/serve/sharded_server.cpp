@@ -11,75 +11,6 @@
 #include "support/table.hpp"
 
 namespace exareq::serve {
-namespace {
-
-/// Work envelopes travel on this tag; replies use per-batch ticket tags
-/// in [1, simmpi::kUserTagLimit).
-constexpr simmpi::Tag kTagWork = 0;
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void put_u32_le(std::vector<std::byte>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((value >> shift) & 0xFF));
-  }
-}
-
-void put_i64_le(std::vector<std::byte>& out, std::int64_t value) {
-  const auto bits = static_cast<std::uint64_t>(value);
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::byte>((bits >> shift) & 0xFF));
-  }
-}
-
-std::uint32_t read_u32_le(const std::byte* p) {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | std::to_integer<std::uint32_t>(p[i]);
-  }
-  return value;
-}
-
-std::int64_t read_i64_le(const std::byte* p) {
-  std::uint64_t bits = 0;
-  for (int i = 7; i >= 0; --i) {
-    bits = (bits << 8) | std::to_integer<std::uint64_t>(p[i]);
-  }
-  return static_cast<std::int64_t>(bits);
-}
-
-/// [reply_tag u32][enqueue_ns i64][request frame]
-constexpr std::size_t kWorkHeaderBytes = 12;
-
-std::vector<std::byte> pack_work(std::uint32_t reply_tag,
-                                 std::int64_t enqueue_ns,
-                                 std::string_view frame) {
-  std::vector<std::byte> payload;
-  payload.reserve(kWorkHeaderBytes + frame.size());
-  put_u32_le(payload, reply_tag);
-  put_i64_le(payload, enqueue_ns);
-  for (const char byte : frame) {
-    payload.push_back(static_cast<std::byte>(byte));
-  }
-  return payload;
-}
-
-std::string bytes_to_string(const std::vector<std::byte>& bytes,
-                            std::size_t offset) {
-  return std::string(reinterpret_cast<const char*>(bytes.data()) + offset,
-                     bytes.size() - offset);
-}
-
-std::vector<std::byte> string_to_bytes(std::string_view text) {
-  const auto* data = reinterpret_cast<const std::byte*>(text.data());
-  return std::vector<std::byte>(data, data + text.size());
-}
-
-}  // namespace
 
 ShardedServer::ShardedServer(ShardedServerOptions options,
                              RegistryFactory factory)
@@ -87,8 +18,6 @@ ShardedServer::ShardedServer(ShardedServerOptions options,
   exareq::require(options_.shards >= 1, "ShardedServer: shards must be >= 1");
   exareq::require(options_.queue_capacity >= 1,
                   "ShardedServer: queue capacity must be >= 1");
-  front_rank_ = static_cast<int>(options_.shards);
-  runtime_ = std::make_unique<simmpi::Runtime>(front_rank_ + 1);
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -103,8 +32,8 @@ ShardedServer::ShardedServer(ShardedServerOptions options,
         options_.cache_capacity > 0 ? shard->cache.get() : nullptr);
     shards_.push_back(std::move(shard));
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->thread = std::thread([this, i] { shard_loop(i); });
+  for (const auto& owned : shards_) {
+    owned->thread = std::thread([this, &shard = *owned] { shard_loop(shard); });
   }
 }
 
@@ -190,61 +119,44 @@ std::vector<std::string> ShardedServer::submit_batch(
     buckets[shard_of(requests[i].app)].push_back(i);
   }
 
-  struct Pending {
-    std::size_t shard;
-    simmpi::Tag ticket;
-    const std::vector<std::size_t>* indices;
-  };
-  std::vector<Pending> pending;
-  const std::int64_t enqueue_ns = steady_now_ns();
-  for (std::size_t shard = 0; shard < buckets.size(); ++shard) {
-    const std::vector<std::size_t>& indices = buckets[shard];
+  std::size_t buckets_used = 0;
+  for (const std::vector<std::size_t>& indices : buckets) {
+    if (!indices.empty()) ++buckets_used;
+  }
+  // Every non-empty bucket counts down once: on its shard, or here if shed.
+  std::latch done(static_cast<std::ptrdiff_t>(buckets_used));
+  const auto enqueued = std::chrono::steady_clock::now();
+  for (std::size_t index = 0; index < buckets.size(); ++index) {
+    const std::vector<std::size_t>& indices = buckets[index];
     if (indices.empty()) continue;
-    Metrics& counters = shards_[shard]->metrics;
-    counters.requests.fetch_add(indices.size(), std::memory_order_relaxed);
-    if (runtime_->mailbox(static_cast<simmpi::Rank>(shard)).pending() >=
-        options_.queue_capacity) {
-      counters.sheds.fetch_add(indices.size(), std::memory_order_relaxed);
-      counters.responses_error.fetch_add(indices.size(),
-                                         std::memory_order_relaxed);
-      const std::string line = error_response(
-          "shed", "admission queue full (capacity " +
-                      std::to_string(options_.queue_capacity) + ")");
-      for (const std::size_t index : indices) responses[index] = line;
+    Shard& shard = *shards_[index];
+    shard.metrics.requests.fetch_add(indices.size(), std::memory_order_relaxed);
+    bool admitted = false;
+    {
+      const std::lock_guard<std::mutex> queue_lock(shard.mutex);
+      if (shard.queue.size() < options_.queue_capacity) {
+        shard.queue.push_back(
+            Batch{&requests, &indices, &responses, enqueued, &done});
+        admitted = true;
+      }
+    }
+    if (admitted) {
+      shard.work_ready.notify_one();
+      batches_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    std::vector<Request> sub;
-    sub.reserve(indices.size());
-    for (const std::size_t index : indices) sub.push_back(requests[index]);
-    const std::string frame = binary::encode_request_frame(sub);
-    const simmpi::Tag ticket =
-        1 + static_cast<simmpi::Tag>(
-                next_ticket_.fetch_add(1, std::memory_order_relaxed) %
-                static_cast<std::uint32_t>(simmpi::kUserTagLimit - 1));
-    runtime_->mailbox(static_cast<simmpi::Rank>(shard))
-        .put(simmpi::Envelope{front_rank_, kTagWork,
-                              pack_work(static_cast<std::uint32_t>(ticket),
-                                        enqueue_ns, frame)});
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    pending.push_back(Pending{shard, ticket, &indices});
+    shard.metrics.sheds.fetch_add(indices.size(), std::memory_order_relaxed);
+    shard.metrics.responses_error.fetch_add(indices.size(),
+                                            std::memory_order_relaxed);
+    const std::string line = error_response(
+        "shed", "admission queue full (capacity " +
+                    std::to_string(options_.queue_capacity) + ")");
+    for (const std::size_t i : indices) responses[i] = line;
+    done.count_down();
   }
-
-  // Collect replies; the buckets execute on their shards in parallel while
-  // this thread blocks on the first one's ticket.
-  for (const Pending& wait : pending) {
-    const simmpi::Envelope reply =
-        runtime_->mailbox(front_rank_)
-            .get(static_cast<simmpi::Rank>(wait.shard), wait.ticket);
-    const std::vector<std::string> lines =
-        binary::decode_response_frame(bytes_to_string(reply.payload, 0));
-    const std::vector<std::size_t>& indices = *wait.indices;
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      responses[indices[i]] =
-          i < lines.size()
-              ? lines[i]
-              : error_response("internal", "shard reply missing a record");
-    }
-  }
+  // The buckets execute on their shards in parallel; each writes its own
+  // response slots before counting down.
+  done.wait();
   return responses;
 }
 
@@ -264,86 +176,71 @@ std::string ShardedServer::handle_line(const std::string& line) {
   return handle(request);
 }
 
-void ShardedServer::shard_loop(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  simmpi::Mailbox& inbox =
-      runtime_->mailbox(static_cast<simmpi::Rank>(shard_index));
-  const std::int64_t deadline_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(options_.deadline)
-          .count();
+void ShardedServer::shard_loop(Shard& shard) {
   for (;;) {
-    simmpi::Envelope work = inbox.get(simmpi::kAnySource, kTagWork);
-    if (work.payload.empty()) return;  // poison: stop this shard
-    obs::ScopedSpan span("serve_shard_batch", "serve");
-    const std::uint32_t reply_tag = read_u32_le(work.payload.data());
-    const std::int64_t enqueue_ns = read_i64_le(work.payload.data() + 4);
-
-    std::vector<std::string> lines;
-    try {
-      const std::string frame = bytes_to_string(work.payload, kWorkHeaderBytes);
-      const std::vector<binary::RequestView> views =
-          binary::decode_request_frame(frame);
-      lines.reserve(views.size());
-      const bool expired =
-          deadline_ns > 0 && steady_now_ns() - enqueue_ns > deadline_ns;
-      for (const binary::RequestView& view : views) {
-        std::string line;
-        if (expired) {
-          shard.metrics.deadline_drops.fetch_add(1, std::memory_order_relaxed);
-          line = error_response(
-              "deadline", "request waited longer than " +
-                              std::to_string(options_.deadline.count()) +
-                              " ms for a worker");
-        } else {
-          line = process_one(shard, view);
-        }
-        shard.metrics.latency.record(
-            static_cast<double>(steady_now_ns() - enqueue_ns) / 1000.0);
-        if (line.rfind("ok", 0) == 0) {
-          shard.metrics.responses_ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          shard.metrics.responses_error.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-        lines.push_back(std::move(line));
-      }
-    } catch (const std::exception& error) {
-      // A frame the front end built should never fail to decode; answering
-      // instead of rethrowing keeps the shard alive for the next batch
-      // (the front end fills unanswered records with an internal error).
-      lines.assign(1, error_response("internal", error.what()));
+    Batch batch{};
+    {
+      std::unique_lock<std::mutex> lock(shard.mutex);
+      shard.work_ready.wait(
+          lock, [&shard] { return !shard.queue.empty() || shard.exiting; });
+      if (shard.queue.empty()) return;  // exiting, and every batch answered
+      batch = shard.queue.front();
+      shard.queue.pop_front();
     }
-    const std::string reply = binary::encode_response_frame(lines);
-    runtime_->mailbox(front_rank_)
-        .put(simmpi::Envelope{static_cast<simmpi::Rank>(shard_index),
-                              static_cast<simmpi::Tag>(reply_tag),
-                              string_to_bytes(reply)});
+    run_batch(shard, batch);
+    batch.done->count_down();
   }
 }
 
-std::string ShardedServer::process_one(Shard& shard,
-                                       const binary::RequestView& view) {
-  Request request;
+void ShardedServer::run_batch(Shard& shard, const Batch& batch) {
+  obs::ScopedSpan span("serve_shard_batch", "serve");
+  const bool expired =
+      options_.deadline.count() > 0 &&
+      std::chrono::steady_clock::now() - batch.enqueued > options_.deadline;
+  for (const std::size_t index : *batch.indices) {
+    std::string line;
+    if (expired) {
+      shard.metrics.deadline_drops.fetch_add(1, std::memory_order_relaxed);
+      line = error_response("deadline",
+                            "request waited longer than " +
+                                std::to_string(options_.deadline.count()) +
+                                " ms for a worker");
+    } else {
+      line = process_one(shard, (*batch.requests)[index]);
+    }
+    shard.metrics.latency.record(
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - batch.enqueued)
+            .count());
+    if (line.rfind("ok", 0) == 0) {
+      shard.metrics.responses_ok.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      shard.metrics.responses_error.fetch_add(1, std::memory_order_relaxed);
+    }
+    (*batch.responses)[index] = std::move(line);
+  }
+}
+
+std::string ShardedServer::process_one(Shard& shard, const Request& request) {
   try {
-    request = view.materialize();
+    validate_request(request);
   } catch (const std::exception& error) {
     return error_response("bad-request", error.what());
   }
-  if (request.kind == RequestKind::kStatus) {
-    // Normally intercepted at the front end; answered shard-locally when a
-    // caller routes one here directly.
-    MetricsSnapshot snapshot;
-    shard.metrics.merge_into(snapshot);
-    return ok_response("status " + status_line(snapshot));
-  }
-  if (request.kind == RequestKind::kIngest) {
-    if (!shard.online.ingest) {
-      return error_response("bad-request",
-                            "ingest is not enabled on this server");
+  try {
+    if (request.kind == RequestKind::kIngest) {
+      if (!shard.online.ingest) {
+        return error_response("bad-request",
+                              "ingest is not enabled on this server");
+      }
+      return shard.online.ingest(request);
     }
-    return shard.online.ingest(request);
+    return shard.engine->answer(request);
+  } catch (const std::exception& error) {
+    // Answering instead of rethrowing keeps the shard alive for the next
+    // batch.
+    return error_response("internal", error.what());
   }
-  return shard.engine->answer(request);
 }
 
 std::string ShardedServer::front_status_line() {
@@ -403,8 +300,10 @@ std::vector<ShardStatus> ShardedServer::shard_statuses() const {
     ShardStatus status;
     status.shard = i;
     status.apps = shard.registry->app_names();
-    status.queue_depth =
-        runtime_->mailbox(static_cast<simmpi::Rank>(i)).pending();
+    {
+      const std::lock_guard<std::mutex> lock(shard.mutex);
+      status.queue_depth = shard.queue.size();
+    }
     shard.metrics.merge_into(status.metrics);
     const CacheStats cache = shard.cache->stats();
     status.metrics.cache_hits = cache.hits;
@@ -468,11 +367,14 @@ void ShardedServer::stop() {
   std::unique_lock<std::shared_mutex> lock(lifecycle_);
   if (joined_) return;
   joined_ = true;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // Poison after every in-flight batch (shared holders) has finished;
-    // mailbox FIFO guarantees queued work is answered before the poison.
-    runtime_->mailbox(static_cast<simmpi::Rank>(i))
-        .put(simmpi::Envelope{front_rank_, kTagWork, {}});
+  // Every in-flight batch (shared holders) has its responses by now; a
+  // shard still drains its queue before it exits.
+  for (auto& shard : shards_) {
+    {
+      const std::lock_guard<std::mutex> queue_lock(shard->mutex);
+      shard->exiting = true;
+    }
+    shard->work_ready.notify_one();
   }
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();

@@ -8,57 +8,52 @@
 // partitioning by app gives conflict-free parallelism without any shared
 // mutable state on the hot path.
 //
-// Transport is simmpi, per the ROADMAP's "simmpi as the inter-worker
-// transport substitute": shard i is rank i of a simmpi::Runtime, the front
-// end is rank N, and every batch travels as one mailbox envelope:
-//
-//   front -> shard   tag kTagWork, payload:
-//                    [reply_tag u32 LE][enqueue_ns i64 LE][request frame]
-//   shard -> front   tag reply_tag, payload: [response frame]
-//
-// where the frames are the binary wire format (binary_protocol.hpp). The
-// reply tag is a per-batch ticket, so any number of client threads can park
-// in the front mailbox concurrently, each waiting on its own (shard, tag)
-// match. A poison envelope (empty payload) stops a shard; mailbox FIFO
-// guarantees all previously enqueued work is answered first.
-//
-// submit_batch is the one entry point: requests are bucketed by owning
-// shard, each bucket is encoded into one frame and dispatched, buckets
-// execute on their shards in parallel, and responses scatter back into
-// request order. A single request is a batch of one. Backpressure is
-// shed-per-bucket at admission (a shard's pending-envelope count beyond
-// queue_capacity sheds that bucket), and the deadline is checked when a
-// shard picks a batch up, mirroring the legacy Server's semantics.
+// Transport is in-process: each shard takes work from its own
+// mutex-guarded FIFO of batches. submit_batch is the one entry point:
+// requests are bucketed by owning shard, each bucket is queued on its shard
+// as one batch that points at the caller's requests and response slots,
+// the buckets execute on their shards in parallel, and each shard writes
+// its answers in place and counts down the caller's std::latch. A single
+// request is a batch of one. Backpressure is shed-per-bucket at admission
+// (a bucket aimed at a shard whose queue already holds queue_capacity
+// batches is shed), the deadline is checked when a shard picks a batch up,
+// and stop() lets every queued batch finish before the shards exit,
+// mirroring the legacy Server's semantics. A shard validates each request
+// as the binary decoder's RequestView::materialize does, so a malformed
+// in-process request answers the same `error bad-request` line it would
+// over the wire.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <latch>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "serve/binary_protocol.hpp"
 #include "serve/cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
-#include "simmpi/runtime.hpp"
 
 namespace exareq::serve {
 
 struct ShardedServerOptions {
   /// Worker shards (>= 1). Each is one thread with its own registry/cache.
   std::size_t shards = 1;
-  /// Per-shard admission bound: a bucket aimed at a shard whose mailbox
-  /// already holds this many envelopes is shed instead of enqueued.
+  /// Per-shard admission bound: a bucket aimed at a shard whose queue
+  /// already holds this many batches is shed instead of enqueued.
   std::size_t queue_capacity = 256;
   /// Maximum queueing delay before a batch is dropped at pickup; 0 disables.
   std::chrono::milliseconds deadline{0};
@@ -71,7 +66,7 @@ struct ShardedServerOptions {
 struct ShardStatus {
   std::size_t shard = 0;
   std::vector<std::string> apps;  ///< models this shard owns, sorted
-  std::size_t queue_depth = 0;    ///< envelopes pending in the shard mailbox
+  std::size_t queue_depth = 0;    ///< batches waiting in the shard queue
   MetricsSnapshot metrics;        ///< this shard's full serving snapshot
 };
 
@@ -134,41 +129,54 @@ class ShardedServer {
   /// cache hits, queue depth, p50) and any per-shard online sections.
   std::string status_report() const;
 
-  /// Stops accepting work, waits for in-flight batches, poisons and joins
+  /// Stops accepting work, waits for in-flight batches, stops and joins
   /// every shard, publishes serve.shard.* obs metrics. Idempotent; called
   /// by the destructor.
   void stop();
 
  private:
+  /// One shard's bucket of a submit_batch call. The pointers reach into
+  /// the caller's frame, which waits on `done` until the shard is through.
+  struct Batch {
+    const std::vector<Request>* requests;
+    const std::vector<std::size_t>* indices;  ///< this shard's requests
+    std::vector<std::string>* responses;      ///< written at `indices`
+    std::chrono::steady_clock::time_point enqueued;
+    std::latch* done;
+  };
+
   struct Shard {
     std::unique_ptr<ModelRegistry> registry;
     std::unique_ptr<ShardedLruCache> cache;
     std::unique_ptr<QueryEngine> engine;
     OnlineHooks online;
     Metrics metrics;
+
+    mutable std::mutex mutex;  ///< guards queue and exiting
+    std::condition_variable work_ready;
+    std::deque<Batch> queue;
+    bool exiting = false;  ///< stop(): leave once the queue is empty
     std::thread thread;
   };
 
-  void shard_loop(std::size_t shard_index);
-  std::string process_one(Shard& shard, const binary::RequestView& view);
+  void shard_loop(Shard& shard);
+  void run_batch(Shard& shard, const Batch& batch);
+  std::string process_one(Shard& shard, const Request& request);
   std::string front_status_line();
   void publish_metrics();
 
   ShardedServerOptions options_;
-  std::unique_ptr<simmpi::Runtime> runtime_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  int front_rank_ = 0;
 
   /// Front-end-side counters: status answers, sheds, parse failures.
   Metrics front_metrics_;
-  std::atomic<std::uint64_t> batches_{0};  ///< frames dispatched to shards
+  std::atomic<std::uint64_t> batches_{0};  ///< batches dispatched to shards
 
-  std::atomic<std::uint32_t> next_ticket_{0};
   std::atomic<bool> stopping_{false};
   bool joined_ = false;  ///< guarded by lifecycle_ (unique)
 
   /// submit_batch holds this shared; stop() takes it unique so shards are
-  /// only poisoned once every in-flight batch has its responses.
+  /// only stopped once every in-flight batch has its responses.
   mutable std::shared_mutex lifecycle_;
 };
 

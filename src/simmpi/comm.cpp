@@ -23,12 +23,12 @@ void Communicator::send_bytes(Rank dest, Tag tag,
   envelope.source = rank_;
   envelope.tag = tag;
   envelope.payload.assign(data.begin(), data.end());
-  runtime_.mailbox(dest).put(std::move(envelope));
+  runtime_.deliver(dest, std::move(envelope));
 }
 
 std::vector<std::byte> Communicator::recv_bytes(Rank source, Tag tag) {
   check_rank(source, "recv: source");
-  Envelope envelope = runtime_.mailbox(rank_).get(source, tag);
+  Envelope envelope = runtime_.receive(rank_, source, tag);
   CommStats& stats = runtime_.stats(rank_);
   stats.bytes_received += envelope.payload.size();
   ++stats.messages_received;
@@ -37,7 +37,7 @@ std::vector<std::byte> Communicator::recv_bytes(Rank source, Tag tag) {
 }
 
 std::pair<Rank, std::vector<std::byte>> Communicator::recv_bytes_any(Tag tag) {
-  Envelope envelope = runtime_.mailbox(rank_).get(kAnySource, tag);
+  Envelope envelope = runtime_.receive(rank_, kAnySource, tag);
   CommStats& stats = runtime_.stats(rank_);
   stats.bytes_received += envelope.payload.size();
   ++stats.messages_received;
@@ -67,8 +67,9 @@ void Communicator::barrier() {
 const CommStats& Communicator::stats() const { return runtime_.stats(rank_); }
 
 void Communicator::check_rank(Rank r, const char* what) const {
-  exareq::require(r >= 0 && r < runtime_.size(),
-                  std::string(what) + " rank out of range");
+  if (r < 0 || r >= runtime_.size()) {
+    throw exareq::InvalidArgument(std::string(what) + " rank out of range");
+  }
 }
 
 void Communicator::check_rank_or_any(Rank r, const char* what) const {

@@ -1,7 +1,7 @@
 // The communicator of the simulated MPI runtime.
 //
-// Point-to-point transport is byte-based (buffered eager sends, blocking
-// matched receives); the typed API and all collectives are built on top of
+// Point-to-point transport is byte-based (buffered eager sends, matched
+// receives that park the rank until a match arrives); the typed API and all collectives are built on top of
 // it, so every byte a collective moves is counted in the per-rank CommStats
 // at the send/recv boundary. The collective algorithms are the textbook
 // ones whose per-rank byte costs define the paper's collective basis
@@ -72,8 +72,8 @@ std::vector<T> from_bytes(std::span<const std::byte> bytes) {
   return values;
 }
 
-/// Rank-local communicator handle. One instance per rank thread; not
-/// shareable across threads.
+/// Rank-local communicator handle. One instance per rank; valid only on
+/// that rank's fiber while its job runs.
 class Communicator {
  public:
   Communicator(Rank rank, Runtime& runtime);
@@ -86,7 +86,7 @@ class Communicator {
   /// Buffered, non-blocking send (eager protocol).
   void send_bytes(Rank dest, Tag tag, std::span<const std::byte> data);
 
-  /// Blocking receive matched by (source, tag).
+  /// Receive matched by (source, tag); parks this rank until a match arrives.
   std::vector<std::byte> recv_bytes(Rank source, Tag tag);
 
   /// True if a matching message is already queued.

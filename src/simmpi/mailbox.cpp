@@ -3,49 +3,23 @@
 #include <algorithm>
 
 namespace exareq::simmpi {
-namespace {
 
-bool matches(const Envelope& envelope, Rank source, Tag tag) {
-  return (source == kAnySource || envelope.source == source) &&
-         envelope.tag == tag;
-}
+void Mailbox::put(Envelope envelope) { queue_.push_back(std::move(envelope)); }
 
-}  // namespace
-
-void Mailbox::put(Envelope envelope) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(envelope));
-  }
-  // Receivers filter by (source, tag); wake all so the right one proceeds.
-  available_.notify_all();
-}
-
-Envelope Mailbox::get(Rank source, Tag tag) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const auto it = std::find_if(
-        queue_.begin(), queue_.end(),
-        [source, tag](const Envelope& e) { return matches(e, source, tag); });
-    if (it != queue_.end()) {
-      Envelope envelope = std::move(*it);
-      queue_.erase(it);
-      return envelope;
-    }
-    available_.wait(lock);
-  }
+std::optional<Envelope> Mailbox::take(Rank source, Tag tag) {
+  const auto it = std::find_if(
+      queue_.begin(), queue_.end(),
+      [source, tag](const Envelope& e) { return matches(e, source, tag); });
+  if (it == queue_.end()) return std::nullopt;
+  Envelope envelope = std::move(*it);
+  queue_.erase(it);
+  return envelope;
 }
 
 bool Mailbox::probe(Rank source, Tag tag) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   return std::any_of(queue_.begin(), queue_.end(), [source, tag](const Envelope& e) {
     return matches(e, source, tag);
   });
-}
-
-std::size_t Mailbox::pending() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 }  // namespace exareq::simmpi

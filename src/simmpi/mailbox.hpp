@@ -2,14 +2,16 @@
 //
 // send() is buffered and never blocks (like an eager-protocol MPI_Send),
 // which makes the collective algorithms deadlock-free without requiring
-// carefully ordered send/recv pairs. recv() blocks until a matching
-// envelope arrives. Messages from the same (source, tag) pair are delivered
-// in FIFO order (MPI's non-overtaking rule).
+// carefully ordered send/recv pairs. Messages from the same (source, tag)
+// pair are delivered in FIFO order (MPI's non-overtaking rule).
+//
+// A Mailbox never blocks and takes no lock: all ranks of a job run as
+// fibers on one thread (runtime.hpp), so only that thread ever touches it.
+// A receive that finds no match parks its rank in the runtime instead.
 #pragma once
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
+#include <optional>
+#include <vector>
 
 #include "simmpi/message.hpp"
 
@@ -18,26 +20,30 @@ namespace exareq::simmpi {
 /// Wildcard source for receive matching.
 inline constexpr Rank kAnySource = -1;
 
+/// True when `envelope` satisfies a receive posted for (source, tag).
+inline bool matches(const Envelope& envelope, Rank source, Tag tag) {
+  return (source == kAnySource || envelope.source == source) &&
+         envelope.tag == tag;
+}
+
 class Mailbox {
  public:
-  /// Enqueues an envelope; wakes one waiting receiver.
+  /// Enqueues an envelope.
   void put(Envelope envelope);
 
-  /// Blocks until an envelope with matching source and tag is available and
-  /// removes it. The earliest matching envelope is returned. A source of
-  /// kAnySource matches any sender.
-  Envelope get(Rank source, Tag tag);
+  /// Removes and returns the earliest envelope with matching source and
+  /// tag, or nullopt when none is queued. A source of kAnySource matches
+  /// any sender.
+  std::optional<Envelope> take(Rank source, Tag tag);
 
-  /// Non-blocking probe: true if a matching envelope is queued.
+  /// True if a matching envelope is queued.
   bool probe(Rank source, Tag tag) const;
 
   /// Number of queued envelopes (any source/tag).
-  std::size_t pending() const;
+  std::size_t pending() const { return queue_.size(); }
 
  private:
-  mutable std::mutex mutex_;
-  std::condition_variable available_;
-  std::deque<Envelope> queue_;
+  std::vector<Envelope> queue_;  ///< arrival order
 };
 
 }  // namespace exareq::simmpi

@@ -52,10 +52,12 @@ bool read_record(std::istream& is, std::vector<std::string>& fields,
     }
   }
   if (!any) return false;
-  require(!in_quotes, "CsvDocument::parse: unterminated quoted field in " +
+  if (in_quotes) {
+    throw InvalidArgument("CsvDocument::parse: unterminated quoted field in " +
                           (record_index == 0
                                ? std::string("the header")
                                : "row " + std::to_string(record_index)));
+  }
   fields.push_back(std::move(field));
   return true;
 }
@@ -103,15 +105,17 @@ double CsvDocument::number_at(std::size_t row, std::size_t column) const {
   const auto* begin = cell.data();
   const auto* end = cell.data() + cell.size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  require(ec == std::errc{} && ptr == end,
-          "CsvDocument::number_at: cell '" + cell + "' at " + context() +
-              " is not a number");
+  if (ec != std::errc{} || ptr != end) {
+    throw InvalidArgument("CsvDocument::number_at: cell '" + cell + "' at " +
+                          context() + " is not a number");
+  }
   // from_chars accepts "nan" and "inf" spellings; a measurement file
   // carrying them is corrupt, and letting them through poisons every
   // downstream fit silently.
-  require(std::isfinite(value), "CsvDocument::number_at: cell '" + cell +
-                                    "' at " + context() +
-                                    " is not a finite number");
+  if (!std::isfinite(value)) {
+    throw InvalidArgument("CsvDocument::number_at: cell '" + cell + "' at " +
+                          context() + " is not a finite number");
+  }
   return value;
 }
 
@@ -149,10 +153,13 @@ CsvDocument CsvDocument::parse(std::istream& is) {
   require(read_record(is, fields, 0), "CsvDocument::parse: empty input");
   CsvDocument doc(fields);
   for (std::size_t row = 1; read_record(is, fields, row); ++row) {
-    require(fields.size() == doc.column_count(),
-            "CsvDocument::parse: ragged row " + std::to_string(row) +
-                " (expected " + std::to_string(doc.column_count()) +
-                " fields, got " + std::to_string(fields.size()) + ")");
+    if (fields.size() != doc.column_count()) {
+      throw InvalidArgument("CsvDocument::parse: ragged row " +
+                            std::to_string(row) + " (expected " +
+                            std::to_string(doc.column_count()) +
+                            " fields, got " + std::to_string(fields.size()) +
+                            ")");
+    }
     doc.add_row(fields);
   }
   return doc;

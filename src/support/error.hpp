@@ -32,7 +32,16 @@ class NumericError : public Error {
 
 /// Throws InvalidArgument with `message` when `condition` is false.
 inline void require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument(message);
+  if (!condition) [[unlikely]] throw InvalidArgument(message);
+}
+
+/// Literal-message overload for hot paths (every TrackedBuffer element
+/// access goes through it): the std::string is only built when the check
+/// fails. A message that must be concatenated from runtime values belongs
+/// in `if (!condition) throw InvalidArgument(...)`, so that it, too, is
+/// only built on failure.
+inline void require(bool condition, const char* message) {
+  if (!condition) [[unlikely]] throw InvalidArgument(message);
 }
 
 }  // namespace exareq

@@ -101,6 +101,41 @@ TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   EXPECT_NE(report.find("rows ingested"), std::string::npos) << report;
 }
 
+TEST(OnlineServiceTest, KeyQueuedAgainBeforeTakeRefitsOnce) {
+  // The worker erases a dequeued key from its queue before it takes the
+  // key's rows. The seam holds that window open on every run and ingests a
+  // second batch for the key inside it, which queues the key again — as a
+  // concurrent drain() does. The first pass then takes both batches, so
+  // the second pass takes no rows and must not refit.
+  serve::ModelRegistry registry;
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 3;
+  ScriptedFitter fitter;
+  OnlineService* service_in_window = nullptr;
+  std::atomic<int> windows{0};
+  OnlineService service(
+      registry, options, fitter.fn(), {}, [&](const std::string& key) {
+        EXPECT_EQ(key, "app");
+        if (windows.fetch_add(1) > 0) return;
+        const std::string response = service_in_window->handle_ingest(
+            serve::parse_request(ingest_line("app", 3, 64)));
+        EXPECT_EQ(response.rfind("ok ingest accepted=3 pending=6", 0), 0u)
+            << response;
+      });
+  service_in_window = &service;
+
+  service.handle_ingest(serve::parse_request(ingest_line("app", 3)));
+  service.drain();
+
+  EXPECT_GE(windows.load(), 2);  // the key was dequeued again
+  ASSERT_EQ(fitter.rows_seen.size(), 1u);
+  EXPECT_EQ(fitter.rows_seen[0], 6u);
+  ASSERT_NE(registry.version_of("app"), nullptr);
+  EXPECT_EQ(registry.version_of("app")->version, 1u);
+  EXPECT_EQ(service.stats().refits, 1u);
+  EXPECT_EQ(service.stats().rows_pending, 0u);
+}
+
 TEST(OnlineServiceTest, BelowThresholdRowsStayPendingUntilDrain) {
   serve::ModelRegistry registry;
   OnlineServiceOptions options;

@@ -25,11 +25,10 @@ class FaultyApp final : public apps::Application {
     if (comm.size() == failing_p_ && comm.rank() == comm.size() - 1) {
       throw exareq::NumericError("injected failure");
     }
-    // Deliberately no communication after the failure point: a rank that
-    // throws leaves its peers permanently blocked if they wait on it (the
-    // runtime documents that failures are not fault-tolerant), so a
-    // well-formed failure test must not make survivors depend on the dead
-    // rank.
+    // The survivors then wait on the failed rank. The runtime unwinds them
+    // once none can make progress and rethrows the failure, so the job
+    // neither hangs nor reports a deadlock.
+    comm.barrier();
   }
 
   void trace_locality(std::int64_t, memtrace::TraceSink& sink) const override {
@@ -42,8 +41,9 @@ class FaultyApp final : public apps::Application {
 };
 
 TEST(RobustnessTest, RankFailurePropagatesOutOfCampaign) {
-  // A rank failure must surface as the original exception, not hang the
-  // thread-per-rank runtime or corrupt other configurations.
+  // A rank failure must surface as the original exception — although its
+  // peers are parked in a barrier waiting on it — and must not corrupt
+  // other configurations.
   const FaultyApp app(4);
   CampaignConfig config;
   config.process_counts = {2, 4};

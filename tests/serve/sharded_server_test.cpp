@@ -234,7 +234,7 @@ TEST(ShardedServerTest, DeadlineExpiredBatchesAreDropped) {
   // Saturate the single shard with a slow-ish batch, then observe that a
   // batch enqueued behind it can expire. Deterministic alternative: the
   // deadline is checked against the front end's enqueue stamp, so a batch
-  // that sat in the mailbox past the deadline answers `error deadline`.
+  // that sat in the shard queue past the deadline answers `error deadline`.
   // Simplest deterministic probe: drive many batches from several threads
   // and require only that every response is one of the two legal outcomes.
   std::atomic<int> deadline_errors{0};

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "support/error.hpp"
 
 namespace exareq::simmpi {
 namespace {
+
+/// Counts its destructions, so a test can see that a rank's stack unwound.
+struct UnwindProbe {
+  int* count;
+  ~UnwindProbe() { ++*count; }
+};
 
 TEST(RuntimeTest, SingleRankRuns) {
   std::atomic<int> calls{0};
@@ -117,6 +126,156 @@ TEST(RuntimeTest, ToBytesFromBytesRoundTrip) {
   const auto bytes = to_bytes<double>(values);
   EXPECT_EQ(bytes.size(), 24u);
   EXPECT_EQ(from_bytes<double>(bytes), values);
+}
+
+// -- fiber scheduling ------------------------------------------------------
+
+TEST(RuntimeTest, RecvParksUntilMatchingSend) {
+  // Rank 0 runs first and receives before rank 1 has sent: it parks, rank 1
+  // runs and sends, and rank 0 resumes with the message.
+  std::size_t received = 0;
+  run(2, [&received](Communicator& comm) {
+    if (comm.rank() == 0) {
+      received = comm.recv_bytes(1, 9).size();
+    } else {
+      comm.send_bytes(0, 9, std::vector<std::byte>(21));
+    }
+  });
+  EXPECT_EQ(received, 21u);
+}
+
+TEST(RuntimeTest, ManyProducersDeliverInPerSourceOrder) {
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 100;
+  std::vector<std::size_t> sizes;
+  run(kProducers + 1, [&sizes](Communicator& comm) {
+    if (comm.rank() != 0) {
+      for (std::size_t i = 1; i <= kPerProducer; ++i) {
+        comm.send_bytes(0, 0, std::vector<std::byte>(i));
+      }
+      return;
+    }
+    // Per-source FIFO (MPI's non-overtaking rule) across interleaved senders.
+    for (Rank producer = 1; producer <= kProducers; ++producer) {
+      for (int i = 0; i < kPerProducer; ++i) {
+        sizes.push_back(comm.recv_bytes(producer, 0).size());
+      }
+    }
+    EXPECT_FALSE(comm.probe(1, 0));
+  });
+  ASSERT_EQ(sizes.size(), static_cast<std::size_t>(kProducers * kPerProducer));
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    ASSERT_EQ(sizes[k], k % kPerProducer + 1) << "message " << k;
+  }
+}
+
+TEST(RuntimeTest, RecvAnyOrderIsTheSameOnEveryRun) {
+  // Five senders interleave their sends to rank 0 with a ring exchange among
+  // themselves, so which message rank 0's wildcard receive matches depends
+  // on the schedule. The schedule is fixed, so the order repeats exactly.
+  constexpr int kSenders = 5;
+  constexpr int kRounds = 3;
+  const auto arrival_order = [] {
+    std::vector<Rank> order;
+    run(kSenders + 1, [&order](Communicator& comm) {
+      if (comm.rank() == 0) {
+        for (int i = 0; i < kSenders * kRounds; ++i) {
+          order.push_back(comm.recv_any<int>(1).first);
+        }
+        return;
+      }
+      const Rank next = comm.rank() % kSenders + 1;
+      const Rank previous = (comm.rank() + kSenders - 2) % kSenders + 1;
+      for (int round = 0; round < kRounds; ++round) {
+        comm.send<int>(0, 1, std::vector<int>{round});
+        (void)comm.sendrecv<int>(next, std::vector<int>{round}, previous, 3);
+      }
+    });
+    return order;
+  };
+  const std::vector<Rank> first = arrival_order();
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(kSenders * kRounds));
+  for (Rank r = 1; r <= kSenders; ++r) {
+    EXPECT_EQ(std::count(first.begin(), first.end(), r), kRounds) << r;
+  }
+  for (int repeat = 1; repeat < 20; ++repeat) {
+    ASSERT_EQ(arrival_order(), first) << "repeat " << repeat;
+  }
+}
+
+TEST(RuntimeTest, RankFailureSurfacesWhileAPeerWaitsOnIt) {
+  // Rank 0 parks on a message rank 1 never sends because rank 1 throws: the
+  // job must neither hang nor report a deadlock, but rethrow rank 1's error.
+  try {
+    run(2, [](Communicator& comm) {
+      if (comm.rank() == 0) {
+        (void)comm.recv<double>(1, 4);
+      } else {
+        throw exareq::NumericError("rank 1 failed");
+      }
+    });
+    FAIL() << "run() returned";
+  } catch (const exareq::NumericError& error) {
+    EXPECT_STREQ(error.what(), "rank 1 failed");
+  }
+}
+
+TEST(RuntimeTest, LowestFailedRankWinsAndParkedRanksAreUnwound) {
+  // Every parked rank's stack is unwound (its destructors run) before the
+  // error of the lowest failing rank is rethrown.
+  int unwound = 0;
+  try {
+    run(6, [&unwound](Communicator& comm) {
+      const UnwindProbe probe{&unwound};
+      if (comm.rank() == 2 || comm.rank() == 4) {
+        throw exareq::NumericError("rank " + std::to_string(comm.rank()));
+      }
+      comm.barrier();
+    });
+    FAIL() << "run() returned";
+  } catch (const exareq::NumericError& error) {
+    EXPECT_STREQ(error.what(), "rank 2");
+  }
+  EXPECT_EQ(unwound, 6);
+}
+
+TEST(RuntimeTest, MutualReceiveRaisesDeadlockError) {
+  int unwound = 0;
+  try {
+    run(3, [&unwound](Communicator& comm) {
+      const UnwindProbe probe{&unwound};
+      if (comm.rank() == 2) return;  // finishes; only 0 and 1 deadlock
+      const Rank peer = 1 - comm.rank();
+      (void)comm.recv<int>(peer, 7);
+      comm.send<int>(peer, 7, std::vector<int>{1});
+    });
+    FAIL() << "run() returned";
+  } catch (const DeadlockError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("2 of 3 ranks"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 0 (source 1, tag 7)"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 1 (source 0, tag 7)"), std::string::npos) << what;
+  }
+  EXPECT_EQ(unwound, 3);
+}
+
+TEST(RuntimeTest, FiveHundredTwelveRanksCompleteAnAllreduce) {
+  constexpr int p = 512;
+  std::vector<std::int64_t> sums(p, 0);
+  run(p, [&sums](Communicator& comm) {
+    const std::vector<std::int64_t> mine{comm.rank() + 1};
+    sums[static_cast<std::size_t>(comm.rank())] =
+        comm.allreduce<std::int64_t>(mine, ops::Sum{})[0];
+  });
+  for (const std::int64_t sum : sums) EXPECT_EQ(sum, p * (p + 1) / 2);
+}
+
+TEST(RuntimeTest, ReceiveOutsideRunIsRejected) {
+  // Without run() there is no scheduler to park on: an unmatched receive
+  // would wait forever, so it throws instead.
+  Runtime runtime(2);
+  Communicator comm(0, runtime);
+  EXPECT_THROW((void)comm.recv_bytes(1, 0), exareq::InvalidArgument);
 }
 
 }  // namespace
