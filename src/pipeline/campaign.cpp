@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -66,6 +67,19 @@ double metric_value(const AppMeasurement& m, Metric metric) {
       return m.energy_proxy;
   }
   return 0.0;
+}
+
+/// Indices of `values` ordered from the largest value down; equal values
+/// keep their grid order.
+template <typename T>
+std::vector<std::size_t> largest_first(const std::vector<T>& values) {
+  std::vector<std::size_t> order(values.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&values](std::size_t a, std::size_t b) {
+                     return values[a] > values[b];
+                   });
+  return order;
 }
 
 /// Header lookup that tolerates absence — pre-suite-v2 campaign CSVs have
@@ -264,8 +278,9 @@ CampaignData run_campaign(const apps::Application& app,
   CampaignData data;
   data.app_name = app.name();
   // Every grid point writes its own preallocated slot (row-major: n outer,
-  // p inner — the serial iteration order), so the campaign can run on any
-  // number of threads and still produce bit-identical measurements.
+  // p inner, in the grid's order), so the campaign can run its points in
+  // any order on any number of threads and still produce bit-identical
+  // measurements.
   data.measurements.resize(slot_count);
 
   // Checkpointing: a resumed campaign loads the validated log prefix into
@@ -331,15 +346,24 @@ CampaignData run_campaign(const apps::Application& app,
   // blocks — measurements, then the locality trace, then the checkpoint
   // appends of that n. A killed checkpointed campaign therefore leaves the
   // finished problem sizes on disk instead of batching every append behind
-  // the whole grid's measurements.
+  // the whole grid's measurements. The blocks run from the largest problem
+  // size down, and each block's measurements from the largest process count
+  // down: a grid point's cost grows with both, so the most expensive point
+  // starts first and the campaign's wall time tracks it instead of a tail
+  // where it runs alone. The order is by value, not by position in the
+  // grid; slots stay row-major in the grid's own order.
+  const std::vector<std::size_t> n_order =
+      largest_first(config.problem_sizes);
+  const std::vector<std::size_t> p_order =
+      largest_first(config.process_counts);
   constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
   TaskDag dag;
   std::vector<std::size_t> measure_task(slot_count, kNoTask);
   std::vector<double> stack_distances(n_count, 0.0);
   std::vector<std::size_t> locality_task(n_count, kNoTask);
-  for (std::size_t n_idx = 0; n_idx < n_count; ++n_idx) {
+  for (const std::size_t n_idx : n_order) {
     bool any_missing = false;
-    for (std::size_t p_idx = 0; p_idx < p_count; ++p_idx) {
+    for (const std::size_t p_idx : p_order) {
       const std::size_t slot = n_idx * p_count + p_idx;
       if (loaded[slot] != 0) continue;
       any_missing = true;
@@ -383,7 +407,7 @@ CampaignData run_campaign(const apps::Application& app,
     // grid point fails are still persisted — the DAG only skips dependents
     // of the failing task, and the append happens before run_campaign
     // rethrows.
-    for (std::size_t p_idx = 0; p_idx < p_count; ++p_idx) {
+    for (const std::size_t p_idx : p_order) {
       const std::size_t slot = n_idx * p_count + p_idx;
       if (measure_task[slot] == kNoTask) continue;
       const std::size_t task = dag.add(

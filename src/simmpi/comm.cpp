@@ -77,10 +77,17 @@ void Communicator::check_rank_or_any(Rank r, const char* what) const {
   check_rank(r, what);
 }
 
-void Communicator::set_channel(std::string name) { channel_ = std::move(name); }
+void Communicator::set_channel(std::string name) {
+  channel_ = std::move(name);
+  channel_stats_ = nullptr;
+}
 
 ChannelStats& Communicator::channel_stats() {
-  return runtime_.stats(rank_).channels[channel_];
+  // std::map nodes never move, so the entry stays valid as others are added.
+  if (channel_stats_ == nullptr) {
+    channel_stats_ = &runtime_.stats(rank_).channels[channel_];
+  }
+  return *channel_stats_;
 }
 
 void Communicator::note_collective(CollectiveKind kind) {

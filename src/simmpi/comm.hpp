@@ -98,8 +98,9 @@ class Communicator {
   // -- typed point-to-point -----------------------------------------------
 
   template <typename T>
+    requires std::is_trivially_copyable_v<T>
   void send(Rank dest, Tag tag, std::span<const T> data) {
-    send_bytes(dest, tag, to_bytes(data));
+    send_bytes(dest, tag, std::as_bytes(data));
   }
 
   template <typename T>
@@ -453,6 +454,9 @@ class Communicator {
   Rank rank_;
   Runtime& runtime_;
   std::string channel_;
+  /// channel_'s entry in this rank's CommStats, once traffic or a
+  /// collective created it; set_channel resets it.
+  ChannelStats* channel_stats_ = nullptr;
 };
 
 /// RAII channel guard: attributes the enclosed traffic to `name` and

@@ -2,10 +2,16 @@
 //
 // A Fiber is a function running on its own stack that its host thread
 // switches into with resume() and that hands control back with suspend() or,
-// for good, with exit(). Switching is glibc ucontext (swapcontext), with no
-// hand-written assembly. The stack is one anonymous mapping per fiber whose
-// lowest page is a PROT_NONE guard, so an overflow faults instead of
-// corrupting a neighbour; it is unmapped when the Fiber is destroyed.
+// for good, with exit(). On x86-64 (System V) a switch is a short assembly
+// routine in fiber.cpp: it pushes the callee-saved registers, MXCSR and the
+// x87 control word onto the stack it leaves, swaps stack pointers and pops
+// the same set from the stack it enters — no system call, unlike glibc's
+// swapcontext, which also saves and restores the signal mask. Other targets
+// switch with glibc ucontext. Either way each fiber keeps its own
+// floating-point control state (rounding mode, exception masks). The stack
+// is one anonymous mapping per fiber whose lowest page is a PROT_NONE guard,
+// so an overflow faults instead of corrupting a neighbour; it is unmapped
+// when the Fiber is destroyed.
 //
 // Sanitizer builds annotate every switch: ThreadSanitizer learns each
 // fiber's identity (__tsan_create_fiber / __tsan_switch_to_fiber, which also
@@ -15,9 +21,20 @@
 // returning through uc_link, which TSan does not survive.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
+
+// Defining EXAREQ_FIBER_REGISTER_SWITCH=0 selects the ucontext switch on
+// x86-64 too, so that path can be built and tested there.
+#if !defined(EXAREQ_FIBER_REGISTER_SWITCH)
+#if defined(__x86_64__) && defined(__ELF__)
+#define EXAREQ_FIBER_REGISTER_SWITCH 1
+#else
+#define EXAREQ_FIBER_REGISTER_SWITCH 0
+#endif
+#endif
+#if !EXAREQ_FIBER_REGISTER_SWITCH
+#include <ucontext.h>
+#endif
 
 namespace exareq::simmpi {
 
@@ -43,7 +60,16 @@ class Fiber {
   void suspend();
 
  private:
+#if EXAREQ_FIBER_REGISTER_SWITCH
+  /// A saved context is a stack pointer: the switch routine keeps the
+  /// registers on that stack.
+  using Context = void*;
+#else
+  using Context = ucontext_t;
   static void trampoline(unsigned high, unsigned low);
+#endif
+
+  [[noreturn]] static void start(Fiber* fiber);
   [[noreturn]] void exit();
 
   Entry entry_;
@@ -55,8 +81,8 @@ class Fiber {
   void* stack_bottom_ = nullptr;
   std::size_t stack_bytes_ = 0;
 
-  ucontext_t context_{};  ///< the fiber's registers while it is suspended
-  ucontext_t host_{};     ///< the resumer's registers while the fiber runs
+  Context context_{};  ///< the fiber's registers while it is suspended
+  Context host_{};     ///< the resumer's registers while the fiber runs
 
   // Sanitizer bookkeeping; unused in plain builds.
   void* tsan_fiber_ = nullptr;

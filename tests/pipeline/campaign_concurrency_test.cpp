@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/application.hpp"
@@ -139,6 +142,79 @@ TEST(CampaignParallelTest, SerialFailureMatchesParallelFailure) {
   }
   EXPECT_FALSE(serial_error.empty());
   EXPECT_EQ(serial_error, parallel_error);
+}
+
+// An application that records the order in which its grid points are
+// measured (rank 0 of each job notes its (p, n)).
+class RecordingApp final : public apps::Application {
+ public:
+  std::string name() const override { return "Recording"; }
+  std::string description() const override { return "records its points"; }
+  std::string problem_size_meaning() const override { return "elements"; }
+  std::int64_t min_problem_size() const override { return 1; }
+
+  void run_rank(simmpi::Communicator& comm,
+                instr::ProcessInstrumentation& instr,
+                std::int64_t n) const override {
+    instr.count_flops(static_cast<std::uint64_t>(n * comm.size()));
+    instr.count_loads(static_cast<std::uint64_t>(40 * n));
+    const simmpi::ChannelScope channel(comm, "sum");
+    const std::vector<double> mine{static_cast<double>(n)};
+    (void)comm.allreduce<double>(mine, simmpi::ops::Sum{});
+    if (comm.rank() != 0) return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    order_.emplace_back(comm.size(), n);
+  }
+
+  void trace_locality(std::int64_t n,
+                      memtrace::TraceSink& sink) const override {
+    const auto g = sink.register_group("g");
+    for (std::int64_t i = 0; i < 40 * n; ++i) {
+      sink.record(static_cast<std::uint64_t>(0x10 + i % n), g);
+    }
+  }
+
+  std::vector<std::pair<int, std::int64_t>> order() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return order_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::vector<std::pair<int, std::int64_t>> order_;
+};
+
+TEST(CampaignOrderTest, LargestGridPointIsMeasuredFirst) {
+  // Tasks are created from the largest problem size down and, within one,
+  // from the largest process count down — by value, so an unsorted grid
+  // also starts with its largest point. Slots stay row-major in the grid's
+  // own order, so the CSV does not depend on the order or the threads.
+  CampaignConfig config;
+  config.process_counts = {8, 2, 4};
+  config.problem_sizes = {64, 16, 32};
+  config.threads = 1;
+  const RecordingApp serial_app;
+  const CampaignData serial = run_campaign(serial_app, config);
+  const std::vector<std::pair<int, std::int64_t>> expected{
+      {8, 64}, {4, 64}, {2, 64}, {8, 32}, {4, 32},
+      {2, 32}, {8, 16}, {4, 16}, {2, 16}};
+  EXPECT_EQ(serial_app.order(), expected);
+
+  ASSERT_EQ(serial.measurements.size(), 9u);
+  for (std::size_t n_idx = 0; n_idx < 3; ++n_idx) {
+    for (std::size_t p_idx = 0; p_idx < 3; ++p_idx) {
+      const AppMeasurement& m = serial.measurements[n_idx * 3 + p_idx];
+      EXPECT_EQ(m.processes, config.process_counts[p_idx]);
+      EXPECT_EQ(m.problem_size, config.problem_sizes[n_idx]);
+      EXPECT_GT(m.stack_distance, 0.0);
+    }
+  }
+
+  config.threads = 4;
+  const RecordingApp threaded_app;
+  const CampaignData threaded = run_campaign(threaded_app, config);
+  EXPECT_EQ(threaded_app.order().size(), 9u);
+  EXPECT_EQ(serial.to_csv().to_string(), threaded.to_csv().to_string());
 }
 
 TEST(CampaignStreamTest, StreamedLocalityEqualsMaterializedForEveryApp) {

@@ -448,7 +448,7 @@ TEST(ResumeTest, FailingGridPointIsNamedAndCompletedPointsPersist) {
     FAIL() << "faulty campaign must throw";
   } catch (const exareq::NumericError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("measure p=4 n=32"), std::string::npos) << what;
+    EXPECT_NE(what.find("measure p=4 n=64"), std::string::npos) << what;
     EXPECT_NE(what.find("injected failure"), std::string::npos) << what;
   }
 

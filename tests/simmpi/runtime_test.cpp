@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <string>
 #include <vector>
 
@@ -268,6 +269,50 @@ TEST(RuntimeTest, FiveHundredTwelveRanksCompleteAnAllreduce) {
         comm.allreduce<std::int64_t>(mine, ops::Sum{})[0];
   });
   for (const std::int64_t sum : sums) EXPECT_EQ(sum, p * (p + 1) / 2);
+}
+
+TEST(RuntimeTest, EachRankKeepsItsOwnFloatingPointControlState) {
+  // A rank's rounding mode lives in the x87 control word and in MXCSR, which
+  // a fiber switch must save and restore. Each rank sets its own mode and
+  // then parks — in a ring where each rank sends to its predecessor and
+  // receives from its successor, and in a barrier — while ranks with other
+  // modes run. fegetround reads the x87 control word; a division of
+  // runtime values is done in SSE and rounds by MXCSR.
+  constexpr int kModes[] = {FE_TONEAREST, FE_DOWNWARD, FE_UPWARD,
+                            FE_TOWARDZERO};
+  constexpr int p = 4;
+  const int caller_mode = fegetround();
+  volatile double numerator = 1.0;
+  volatile double denominator = 3.0;
+  std::vector<double> expected_third(p);
+  for (int r = 0; r < p; ++r) {
+    ASSERT_EQ(fesetround(kModes[r]), 0);
+    expected_third[static_cast<std::size_t>(r)] = numerator / denominator;
+  }
+  ASSERT_EQ(fesetround(caller_mode), 0);
+  ASSERT_NE(expected_third[1], expected_third[2]);  // down vs up differ
+  const double caller_third = numerator / denominator;
+
+  std::vector<int> mode_read(p, -1);
+  std::vector<double> third(p, 0.0);
+  run(p, [&](Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    EXPECT_EQ(fesetround(kModes[r]), 0);
+    const Rank predecessor = (comm.rank() + p - 1) % p;
+    const Rank successor = (comm.rank() + 1) % p;
+    comm.send<int>(predecessor, 2, std::vector<int>{comm.rank()});
+    EXPECT_EQ(comm.recv<int>(successor, 2)[0], successor);
+    comm.barrier();
+    mode_read[r] = fegetround();
+    third[r] = numerator / denominator;
+  });
+  EXPECT_EQ(fegetround(), caller_mode);
+  EXPECT_EQ(numerator / denominator, caller_third);
+  for (std::size_t r = 0; r < p; ++r) {
+    EXPECT_EQ(mode_read[r], kModes[r]) << "rank " << r;
+    EXPECT_EQ(third[r], expected_third[r]) << "rank " << r;
+  }
+  fesetround(caller_mode);
 }
 
 TEST(RuntimeTest, ReceiveOutsideRunIsRejected) {
