@@ -1,8 +1,7 @@
-// Throughput benchmark for the serve subsystem: a preloaded registry
-// answering a mixed eval/invert/upgrade workload at 1-8 worker threads,
-// plus the sharded tier — aggregate QPS vs shard count at a fixed
-// per-shard cache budget, and batched-binary frame amortization over a
-// Unix socket. Prints scaling tables and writes BENCH_serve.json.
+// Throughput benchmark for the serve subsystem's sharded tier: aggregate
+// QPS vs shard count at a fixed per-shard cache budget, and batched-binary
+// frame amortization over a Unix socket. Prints scaling tables and writes
+// BENCH_serve.json.
 //
 //   bench_serve_throughput [--trace FILE] [--out FILE] [--smoke]
 //
@@ -10,9 +9,12 @@
 // 2 shards fail to beat 1 shard on QPS or batched frames fail to beat
 // single-request frames — the CI regression gate.
 //
-// --trace records the request/cache/compute spans of every run into one
+// --trace records the batch/cache/compute spans of every run into one
 // Chrome trace_event file. Tracing adds per-span overhead, so traced runs
 // are not comparable to untraced trend numbers.
+//
+// Query latency under a live ingest stream is measured end to end by
+// perfbench's serve workload (perfbench/README.md).
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,7 +22,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -29,12 +30,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "model/search_space.hpp"
 #include "obs/trace.hpp"
-#include "online/service.hpp"
 #include "serve/frontend.hpp"
-#include "serve/registry.hpp"
-#include "serve/server.hpp"
 #include "serve/sharded_server.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"
@@ -42,137 +39,6 @@
 namespace {
 
 using namespace exareq;
-
-/// Deterministic mixed workload: mostly cheap evals over a reusable set of
-/// points (so the result cache sees repeats, as a real service would), plus
-/// footprint inversions and full upgrade-scenario sweeps.
-std::vector<std::string> make_workload(const std::string& app,
-                                       std::size_t requests) {
-  std::vector<std::string> lines;
-  lines.reserve(requests);
-  const char* metrics[] = {"footprint", "flops", "comm_bytes", "loads_stores"};
-  for (std::size_t i = 0; i < requests; ++i) {
-    switch (i % 10) {
-      case 8: {  // 10 % inversions over 16 distinct skeletons
-        const std::size_t v = i / 10 % 16;
-        lines.push_back("invert " + app + ' ' +
-                        std::to_string(1024 << (v % 4)) + ' ' +
-                        std::to_string((1 + v / 4) * 1000000000ULL));
-        break;
-      }
-      case 9: {  // 10 % upgrade sweeps over 8 distinct bases
-        const std::size_t v = i / 10 % 8;
-        lines.push_back("upgrade " + app + ' ' +
-                        std::to_string(2048 << (v % 4)) + ' ' +
-                        std::to_string((1 + v / 4) * 2000000000ULL));
-        break;
-      }
-      default: {  // 80 % evals over 64 distinct (metric, p, n) points
-        const std::size_t v = i * 7 % 64;
-        lines.push_back(std::string("eval ") + app + ' ' + metrics[v % 4] +
-                        ' ' + std::to_string(16 << (v / 4 % 4)) + ' ' +
-                        std::to_string(256 << (v / 16)));
-        break;
-      }
-    }
-  }
-  return lines;
-}
-
-struct RunResult {
-  std::size_t workers;
-  double seconds;
-  double requests_per_second;
-  double cache_hit_rate;
-  double p50_latency_us;
-  double p99_latency_us;
-};
-
-/// Ingest-while-querying smoke: how much does a concurrent ingest stream —
-/// including the refits it triggers on the online worker — degrade query
-/// latency? One batch carries five distinct (p, n) rows synthesized from
-/// the app's own models, so every refit fits a well-posed 5-point-per-
-/// parameter dataset.
-struct IngestSmoke {
-  double baseline_p50_us = 0.0;
-  double ingest_p50_us = 0.0;
-  double impact_pct = 0.0;
-  std::uint64_t batches = 0;
-  std::uint64_t refits = 0;
-};
-
-std::string make_ingest_batch(const codesign::AppRequirements& app) {
-  std::string line = "ingest " + app.name +
-                     " p,n,bytes_used,flops,loads_stores,"
-                     "bytes_sent_received,stack_distance";
-  for (int k = 1; k <= 5; ++k) {
-    const double p = static_cast<double>(1 << k);
-    const double n = static_cast<double>(1 << (5 + k));
-    line += ';' + format_compact(p) + ',' + format_compact(n) + ',' +
-            std::to_string(app.footprint.evaluate2(p, n)) + ',' +
-            std::to_string(app.flops.evaluate2(p, n)) + ',' +
-            std::to_string(app.loads_stores.evaluate2(p, n)) + ',' +
-            std::to_string(app.comm_bytes.evaluate2(p, n)) + ',' +
-            std::to_string(app.stack_distance.evaluate1(n));
-  }
-  return line;
-}
-
-IngestSmoke run_ingest_smoke(const codesign::AppRequirements& app,
-                             const std::vector<std::string>& workload,
-                             double baseline_p50_us) {
-  serve::ModelRegistry registry;
-  registry.insert(app);
-
-  online::OnlineServiceOptions online_options;
-  online_options.policy.refit_rows = 5;  // every batch triggers a refit
-  online_options.refit.generator.space = model::SearchSpace::coarse();
-  online_options.refit.generator.top_factors_per_parameter = 2;
-  online::OnlineService service(registry, online_options);
-
-  serve::ServerOptions server_options;
-  server_options.workers = 4;
-  server_options.queue_capacity = workload.size();
-  server_options.cache_capacity = 4096;
-  server_options.online = service.hooks();
-  serve::Server server(registry, server_options);
-
-  // The ingester streams batches on its own thread (server.handle, so the
-  // query latency histogram stays dominated by queries) until the query
-  // workload has drained.
-  std::atomic<bool> querying{true};
-  std::uint64_t batches = 0;
-  std::thread ingester([&] {
-    const std::string batch = make_ingest_batch(app);
-    while (querying.load(std::memory_order_acquire)) {
-      (void)server.handle(batch);
-      ++batches;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
-  std::vector<std::future<std::string>> responses;
-  responses.reserve(workload.size());
-  for (const std::string& line : workload) {
-    responses.push_back(server.submit(line));
-  }
-  for (auto& response : responses) (void)response.get();
-  querying.store(false, std::memory_order_release);
-  ingester.join();
-  service.drain();
-
-  IngestSmoke smoke;
-  smoke.baseline_p50_us = baseline_p50_us;
-  smoke.ingest_p50_us = server.metrics().p50_latency_us;
-  smoke.impact_pct = baseline_p50_us > 0.0
-                         ? 100.0 * (smoke.ingest_p50_us - baseline_p50_us) /
-                               baseline_p50_us
-                         : 0.0;
-  smoke.batches = batches;
-  smoke.refits = service.stats().refits;
-  service.stop();
-  return smoke;
-}
 
 // ---------------------------------------------------------------------------
 // Sharded tier: aggregate QPS vs shard count at a fixed PER-SHARD cache
@@ -370,40 +236,10 @@ std::vector<BatchingRun> run_batching_sweep(
   return results;
 }
 
-RunResult run_one(serve::ModelRegistry& registry,
-                  const std::vector<std::string>& workload,
-                  std::size_t workers) {
-  // A fresh server per worker count: cold cache, so hit rates compare.
-  serve::Server server(registry,
-                       {.workers = workers,
-                        .queue_capacity = workload.size(),
-                        .cache_capacity = 4096});
-  std::vector<std::future<std::string>> responses;
-  responses.reserve(workload.size());
-  const auto started = std::chrono::steady_clock::now();
-  for (const std::string& line : workload) {
-    responses.push_back(server.submit(line));
-  }
-  std::size_t errors = 0;
-  for (auto& response : responses) {
-    if (response.get().rfind("ok", 0) != 0) ++errors;
-  }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - started;
-  if (errors > 0) {
-    std::cerr << "warning: " << errors << " error responses\n";
-  }
-  const serve::MetricsSnapshot snapshot = server.metrics();
-  return {workers, elapsed.count(),
-          static_cast<double>(workload.size()) / elapsed.count(),
-          snapshot.cache_hit_rate(), snapshot.p50_latency_us,
-          snapshot.p99_latency_us};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::print_banner("Serve throughput: workers, shards, and batching",
+  bench::print_banner("Serve throughput: shards and batching",
                       "serving subsystem (beyond the paper)");
 
   std::optional<obs::TraceGuard> trace;
@@ -420,48 +256,6 @@ int main(int argc, char** argv) {
       bench::app_models(apps::AppId::kLulesh).requirements;
   const std::vector<codesign::AppRequirements> shard_apps =
       make_shard_apps(app, 16);
-
-  constexpr std::size_t kRequests = 20000;
-  std::vector<RunResult> results;
-  IngestSmoke smoke;
-  if (!smoke_mode) {
-    serve::ModelRegistry registry;
-    registry.insert(app);
-    const std::vector<std::string> workload =
-        make_workload(app.name, kRequests);
-    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      results.push_back(run_one(registry, workload, workers));
-    }
-
-    TextTable table({"Workers", "Req/s", "Speedup", "Hit rate", "p99 [us]"});
-    table.set_alignment({Align::kRight, Align::kRight, Align::kRight,
-                         Align::kRight, Align::kRight});
-    for (const RunResult& r : results) {
-      table.add_row({std::to_string(r.workers),
-                     format_compact(r.requests_per_second),
-                     format_fixed(r.requests_per_second /
-                                      results.front().requests_per_second,
-                                  2) +
-                         "x",
-                     format_fixed(100.0 * r.cache_hit_rate, 1) + " %",
-                     format_compact(r.p99_latency_us)});
-    }
-    std::cout << '\n' << table.render() << '\n';
-
-    // A live ingest stream (one refit per 5-row batch) must not move the
-    // 4-worker query p50 by more than ~10%.
-    double baseline_p50_us = 0.0;
-    for (const RunResult& r : results) {
-      if (r.workers == 4) baseline_p50_us = r.p50_latency_us;
-    }
-    smoke = run_ingest_smoke(app, workload, baseline_p50_us);
-    std::cout << "\ningest-while-querying smoke (4 workers): baseline p50 "
-              << format_compact(smoke.baseline_p50_us) << " us, with ingest "
-              << format_compact(smoke.ingest_p50_us) << " us ("
-              << format_fixed(smoke.impact_pct, 1) << " % impact, "
-              << smoke.batches << " batches, " << smoke.refits
-              << " refits)\n";
-  }
 
   // Sharded tier. Smoke keeps the same working-set : cache ratio (4x one
   // shard) so the 2-shard-beats-1 assertion tests the same mechanism the
@@ -526,19 +320,7 @@ int main(int argc, char** argv) {
        << "  \"app\": \"" << app.name << "\",\n"
        << "  \"smoke\": " << (smoke_mode ? "true" : "false") << ",\n"
        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"requests\": " << (smoke_mode ? 0 : kRequests)
-       << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    json << "    {\"workers\": " << r.workers << ", \"seconds\": " << r.seconds
-         << ", \"requests_per_second\": " << r.requests_per_second
-         << ", \"cache_hit_rate\": " << r.cache_hit_rate
-         << ", \"p50_latency_us\": " << r.p50_latency_us
-         << ", \"p99_latency_us\": " << r.p99_latency_us << '}'
-         << (i + 1 < results.size() ? "," : "") << '\n';
-  }
-  json << "  ],\n  \"sharded_scaling\": [\n";
+       << ",\n  \"sharded_scaling\": [\n";
   for (std::size_t i = 0; i < sharded.size(); ++i) {
     const ShardedRun& r = sharded[i];
     json << "    {\"shards\": " << r.shards << ", \"seconds\": " << r.seconds
@@ -557,15 +339,7 @@ int main(int argc, char** argv) {
          << r.requests_per_second / batching.front().requests_per_second
          << '}' << (i + 1 < batching.size() ? "," : "") << '\n';
   }
-  json << "  ]";
-  if (!smoke_mode) {
-    json << ",\n  \"ingest_smoke\": {\"baseline_p50_us\": "
-         << smoke.baseline_p50_us << ", \"ingest_p50_us\": "
-         << smoke.ingest_p50_us << ", \"impact_pct\": " << smoke.impact_pct
-         << ", \"batches\": " << smoke.batches << ", \"refits\": "
-         << smoke.refits << "}";
-  }
-  json << "\n}\n";
+  json << "  ]\n}\n";
   std::ofstream(out_path) << json.str();
   std::cout << "\nwrote " << out_path << '\n';
   if (trace.has_value()) {

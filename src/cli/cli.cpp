@@ -29,7 +29,6 @@
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/sharded_server.hpp"
-#include "serve/socket_server.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"

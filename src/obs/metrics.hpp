@@ -3,7 +3,7 @@
 // snapshot renderers (`exareq ... --metrics[=json]`).
 //
 // Naming scheme: "<subsystem>.<noun>[_<unit>]" — e.g. "model.cv_solves",
-// "campaign.grid_points", "serve.latency_us". Names sort the rendered
+// "campaign.grid_points", "online.rows_ingested". Names sort the rendered
 // snapshot, so related metrics group naturally.
 //
 // The registry hands out stable references: instruments are never removed,

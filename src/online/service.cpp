@@ -9,8 +9,6 @@
 #include "obs/trace.hpp"
 #include "online/ingest.hpp"
 #include "serve/protocol.hpp"
-#include "support/format.hpp"
-#include "support/table.hpp"
 
 namespace exareq::online {
 namespace {
@@ -211,44 +209,12 @@ OnlineStats OnlineService::stats() const {
   return snapshot;
 }
 
-std::string OnlineService::status_fields() const {
-  const OnlineStats snapshot = stats();
-  std::ostringstream os;
-  os << "online_rows=" << snapshot.rows_ingested
-     << " online_pending=" << snapshot.rows_pending
-     << " online_refits=" << snapshot.refits
-     << " online_refit_failures=" << snapshot.refit_failures
-     << " online_rollbacks=" << snapshot.rollbacks
-     << " online_staleness_s=" << format_fixed(snapshot.staleness_seconds, 3)
-     << " online_version=" << snapshot.last_version;
-  return os.str();
-}
-
-std::string OnlineService::status_section() const {
-  const OnlineStats snapshot = stats();
-  TextTable table({"Layer", "Counter", "Value"});
-  table.set_alignment({Align::kLeft, Align::kLeft, Align::kRight});
-  const auto count = [](std::uint64_t value) { return format_count(value); };
-  table.add_row({"online", "batches accepted", count(snapshot.batches_accepted)});
-  table.add_row({"online", "batches rejected", count(snapshot.batches_rejected)});
-  table.add_row({"online", "rows ingested", count(snapshot.rows_ingested)});
-  table.add_row({"online", "rows pending", count(snapshot.rows_pending)});
-  table.add_row({"online", "refits", count(snapshot.refits)});
-  table.add_row({"online", "refit failures", count(snapshot.refit_failures)});
-  table.add_row({"online", "rollbacks", count(snapshot.rollbacks)});
-  table.add_row({"online", "staleness [s]",
-                 format_fixed(snapshot.staleness_seconds, 3)});
-  table.add_row({"online", "last version", count(snapshot.last_version)});
-  return table.render();
-}
-
 serve::OnlineHooks OnlineService::hooks() {
   serve::OnlineHooks hooks;
   hooks.ingest = [this](const serve::Request& request) {
     return handle_ingest(request);
   };
-  hooks.status_fields = [this] { return status_fields(); };
-  hooks.status_section = [this] { return status_section(); };
+  hooks.stats = [this] { return stats(); };
   return hooks;
 }
 

@@ -6,8 +6,7 @@
 // IncrementalRefitter, and every successful refit hot-swaps the registry's
 // VersionedModel slot while queries keep being answered. The server stays
 // decoupled: it only sees the serve::OnlineHooks bundle (`hooks()`), which
-// routes `ingest` requests here and lets `status` report the online
-// counters and per-model staleness.
+// routes `ingest` requests here and hands `status` the online counters.
 //
 // One worker, not a pool: refits are serialized so at most one model fit
 // runs off the query path at a time (the fit engine itself is serial — the
@@ -23,7 +22,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -33,27 +31,15 @@
 
 #include "online/ingest_buffer.hpp"
 #include "online/refitter.hpp"
+#include "online/stats.hpp"
 #include "serve/registry.hpp"
-#include "serve/server.hpp"
+#include "serve/sharded_server.hpp"
 
 namespace exareq::online {
 
 struct OnlineServiceOptions {
   RefitPolicy policy;
   RefitterOptions refit;
-};
-
-/// Plain-value snapshot of the service's counters.
-struct OnlineStats {
-  std::uint64_t batches_accepted = 0;
-  std::uint64_t batches_rejected = 0;  ///< validation or buffer-bound errors
-  std::uint64_t rows_ingested = 0;
-  std::uint64_t refits = 0;          ///< published new versions
-  std::uint64_t refit_failures = 0;  ///< fit threw; previous version kept
-  std::uint64_t rollbacks = 0;       ///< quality guard restored previous
-  std::uint64_t rows_pending = 0;    ///< staged, not yet refitted
-  double staleness_seconds = 0.0;    ///< oldest pending row, worst key
-  std::uint64_t last_version = 0;    ///< most recently published version id
 };
 
 class OnlineService {
@@ -80,8 +66,8 @@ class OnlineService {
   /// Never throws — this runs on server workers.
   std::string handle_ingest(const serve::Request& request);
 
-  /// The callback bundle to place in ServerOptions::online. The service
-  /// must outlive the server using them.
+  /// The callback bundle to install with ShardedServer::set_online_hooks.
+  /// The service must outlive the server using them.
   serve::OnlineHooks hooks();
 
   /// Blocks until every staged row has been through a refit attempt and
@@ -93,12 +79,6 @@ class OnlineService {
   void stop();
 
   OnlineStats stats() const;
-
-  /// `key=value` fields appended to the protocol status line.
-  std::string status_fields() const;
-
-  /// Multi-line table appended to the `--status` report.
-  std::string status_section() const;
 
   const OnlineServiceOptions& options() const { return options_; }
 

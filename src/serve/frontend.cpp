@@ -359,20 +359,22 @@ std::vector<std::string> Client::query_batch(
 
 std::vector<std::string> query_batch_over_socket(
     const std::string& socket_path, const std::vector<Request>& requests) {
-  Client client = Client::connect_unix(socket_path);
-  return client.query_batch(requests);
+  return Client::connect_unix(socket_path).query_batch(requests);
 }
 
 std::vector<std::string> query_batch_over_tcp(
     const std::string& host, int port, const std::vector<Request>& requests) {
-  Client client = Client::connect_tcp(host, port);
-  return client.query_batch(requests);
+  return Client::connect_tcp(host, port).query_batch(requests);
+}
+
+std::string query_over_socket(const std::string& socket_path,
+                              const std::string& line) {
+  return Client::connect_unix(socket_path).query(line);
 }
 
 std::string query_over_tcp(const std::string& host, int port,
                            const std::string& line) {
-  Client client = Client::connect_tcp(host, port);
-  return client.query(line);
+  return Client::connect_tcp(host, port).query(line);
 }
 
 }  // namespace exareq::serve

@@ -17,8 +17,8 @@
 // `error bad-request:` line without failing the batch), and the valid
 // requests go through ShardedServer::submit_batch — bucketed by shard and
 // executed in parallel. Framing errors (oversized or malformed frames) are
-// answered in the connection's own protocol, then the connection closes,
-// matching the legacy SocketServer's recovery contract.
+// answered in the connection's own protocol, then the connection closes;
+// the listener and other connections keep serving.
 #pragma once
 
 #include <atomic>
@@ -90,10 +90,10 @@ class FrontEnd {
   std::vector<int> connection_fds_;
 };
 
-/// A persistent client connection to a FrontEnd (or the legacy
-/// SocketServer, for text). The first call pins the connection's protocol
-/// — text for query(), binary for query_batch() — matching the server's
-/// per-connection auto-detect; mixing both on one client throws.
+/// A persistent client connection to a FrontEnd. The first call pins the
+/// connection's protocol — text for query(), binary for query_batch() —
+/// matching the server's per-connection auto-detect; mixing both on one
+/// client throws.
 class Client {
  public:
   static Client connect_unix(const std::string& path);
@@ -128,8 +128,11 @@ std::vector<std::string> query_batch_over_socket(
 std::vector<std::string> query_batch_over_tcp(
     const std::string& host, int port, const std::vector<Request>& requests);
 
-/// One-shot text query over TCP (the Unix-socket variant lives in
-/// socket_server.hpp).
+/// One-shot text query over a Unix socket / TCP: connect, send one request
+/// line, return the response line. Throws Error when the listener is
+/// unreachable or the connection closes before a response arrives.
+std::string query_over_socket(const std::string& socket_path,
+                              const std::string& line);
 std::string query_over_tcp(const std::string& host, int port,
                            const std::string& line);
 

@@ -52,7 +52,7 @@ struct MetricsSnapshot {
 };
 
 /// Thread-safe counters of the request layer; the cache and registry keep
-/// their own and everything is merged by Server::metrics().
+/// their own and everything is merged by ShardedServer::metrics().
 class Metrics {
  public:
   std::atomic<std::uint64_t> requests{0};

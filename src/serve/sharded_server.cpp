@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -11,6 +13,43 @@
 #include "support/table.hpp"
 
 namespace exareq::serve {
+namespace {
+
+/// Lock stripes of each shard's result cache.
+constexpr std::size_t kCacheStripes = 4;
+
+/// The `online_*` key=value fields of the status line.
+std::string online_status_fields(const online::OnlineStats& stats) {
+  std::ostringstream os;
+  os << "online_rows=" << stats.rows_ingested
+     << " online_pending=" << stats.rows_pending
+     << " online_refits=" << stats.refits
+     << " online_refit_failures=" << stats.refit_failures
+     << " online_rollbacks=" << stats.rollbacks
+     << " online_staleness_s=" << format_fixed(stats.staleness_seconds, 3)
+     << " online_version=" << stats.last_version;
+  return os.str();
+}
+
+/// The online table of the `--status` report.
+std::string online_status_table(const online::OnlineStats& stats) {
+  TextTable table({"Layer", "Counter", "Value"});
+  table.set_alignment({Align::kLeft, Align::kLeft, Align::kRight});
+  const auto count = [](std::uint64_t value) { return format_count(value); };
+  table.add_row({"online", "batches accepted", count(stats.batches_accepted)});
+  table.add_row({"online", "batches rejected", count(stats.batches_rejected)});
+  table.add_row({"online", "rows ingested", count(stats.rows_ingested)});
+  table.add_row({"online", "rows pending", count(stats.rows_pending)});
+  table.add_row({"online", "refits", count(stats.refits)});
+  table.add_row({"online", "refit failures", count(stats.refit_failures)});
+  table.add_row({"online", "rollbacks", count(stats.rollbacks)});
+  table.add_row({"online", "staleness [s]",
+                 format_fixed(stats.staleness_seconds, 3)});
+  table.add_row({"online", "last version", count(stats.last_version)});
+  return table.render();
+}
+
+}  // namespace
 
 ShardedServer::ShardedServer(ShardedServerOptions options,
                              RegistryFactory factory)
@@ -26,7 +65,7 @@ ShardedServer::ShardedServer(ShardedServerOptions options,
     exareq::require(shard->registry != nullptr,
                     "ShardedServer: registry factory returned null");
     shard->cache = std::make_unique<ShardedLruCache>(options_.cache_capacity,
-                                                     options_.cache_shards);
+                                                     kCacheStripes);
     shard->engine = std::make_unique<QueryEngine>(
         *shard->registry,
         options_.cache_capacity > 0 ? shard->cache.get() : nullptr);
@@ -76,15 +115,12 @@ void ShardedServer::insert(codesign::AppRequirements models) {
 
 std::string ShardedServer::load_file(const std::string& path) {
   // Load into a scratch registry first to learn the application name, then
-  // route the validated bundle to its owning shard. Bundle files are a
-  // startup-time path, so the extra parse-copy is irrelevant.
+  // load the file again into its owning shard, whose registry counts it in
+  // files_loaded. Bundle files are a startup-time path, so the second
+  // parse is irrelevant.
   ModelRegistry scratch;
   const std::string name = scratch.load_file(path);
-  const auto models = scratch.find(name);
-  exareq::require(models != nullptr,
-                  "model file '" + path + "' loaded no usable bundle");
-  registry(shard_of(name))
-      .publish(*models, online::VersionSource::kFile);
+  registry(shard_of(name)).load_file(path);
   return name;
 }
 
@@ -243,15 +279,23 @@ std::string ShardedServer::process_one(Shard& shard, const Request& request) {
   }
 }
 
-std::string ShardedServer::front_status_line() {
+std::string ShardedServer::front_status_line() const {
   std::string line = status_line(metrics());
   line += " shards=" + std::to_string(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->online.status_fields) continue;
-    const std::string extra = shards_[i]->online.status_fields();
-    if (!extra.empty()) line += " " + extra;
+  if (const auto online = online_stats()) {
+    line += " " + online_status_fields(*online);
   }
   return line;
+}
+
+std::optional<online::OnlineStats> ShardedServer::online_stats() const {
+  std::optional<online::OnlineStats> total;
+  for (const auto& shard : shards_) {
+    if (!shard->online.stats) continue;
+    if (!total) total.emplace();
+    total->merge(shard->online.stats());
+  }
+  return total;
 }
 
 MetricsSnapshot ShardedServer::metrics() const {
@@ -345,19 +389,26 @@ std::string ShardedServer::status_report() const {
   }
   report += "\n" + table.render();
 
+  TextTable models({"Shard", "Model", "Version", "Source", "Rows",
+                    "MeanRelErr", "Age [s]"});
+  models.set_alignment({Align::kRight, Align::kLeft, Align::kRight,
+                        Align::kLeft, Align::kRight, Align::kRight,
+                        Align::kRight});
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::vector<ModelInfo> infos = shards_[i]->registry->model_infos();
-    if (infos.empty()) continue;
-    report += "\nshard " + std::to_string(i) + " models: ";
-    for (std::size_t j = 0; j < infos.size(); ++j) {
-      if (j > 0) report += ", ";
-      report += infos[j].name + " v" + std::to_string(infos[j].version);
+    for (const ModelInfo& info : shards_[i]->registry->model_infos()) {
+      models.add_row({std::to_string(i), info.name,
+                      std::to_string(info.version),
+                      online::version_source_name(info.source),
+                      std::to_string(info.rows),
+                      std::isnan(info.mean_abs_relative_error)
+                          ? std::string("-")
+                          : format_compact(info.mean_abs_relative_error),
+                      format_fixed(info.age_seconds, 1)});
     }
   }
-  for (const auto& shard : shards_) {
-    if (!shard->online.status_section) continue;
-    const std::string section = shard->online.status_section();
-    if (!section.empty()) report += "\n" + section;
+  if (models.row_count() > 0) report += "\n" + models.render();
+  if (const auto online = online_stats()) {
+    report += "\n" + online_status_table(*online);
   }
   return report;
 }

@@ -1,4 +1,5 @@
-// ShardedServer: the multi-worker serving tier behind `exareq serve`.
+// ShardedServer: the one serving tier behind `exareq serve`; a single shard
+// is the single-worker case.
 //
 // Applications are hash-partitioned across N worker shards. Each shard is
 // one thread owning a full slice of the serving stack — its own
@@ -17,11 +18,10 @@
 // request is a batch of one. Backpressure is shed-per-bucket at admission
 // (a bucket aimed at a shard whose queue already holds queue_capacity
 // batches is shed), the deadline is checked when a shard picks a batch up,
-// and stop() lets every queued batch finish before the shards exit,
-// mirroring the legacy Server's semantics. A shard validates each request
-// as the binary decoder's RequestView::materialize does, so a malformed
-// in-process request answers the same `error bad-request` line it would
-// over the wire.
+// and stop() lets every queued batch finish before the shards exit. A
+// shard validates each request as the binary decoder's
+// RequestView::materialize does, so a malformed in-process request answers
+// the same `error bad-request` line it would over the wire.
 #pragma once
 
 #include <atomic>
@@ -34,20 +34,34 @@
 #include <latch>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "online/stats.hpp"
 #include "serve/cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/registry.hpp"
-#include "serve/server.hpp"
 
 namespace exareq::serve {
+
+/// Callbacks the online-requirements service (src/online) installs on a
+/// shard so the server can route `ingest` requests and report the online
+/// counters without the serve library depending on the online one (which
+/// depends on serve). The hook owner must outlive the server.
+struct OnlineHooks {
+  /// Handles one ingest request; returns the full response line and must
+  /// not throw. Unset = ingest answered `error bad-request: ... not enabled`.
+  std::function<std::string(const Request&)> ingest;
+  /// The service's counters. The server sums every shard's into one set
+  /// of `online_*` status fields and one online table in the report.
+  std::function<online::OnlineStats()> stats;
+};
 
 struct ShardedServerOptions {
   /// Worker shards (>= 1). Each is one thread with its own registry/cache.
@@ -57,9 +71,8 @@ struct ShardedServerOptions {
   std::size_t queue_capacity = 256;
   /// Maximum queueing delay before a batch is dropped at pickup; 0 disables.
   std::chrono::milliseconds deadline{0};
-  /// Per-shard result-cache entries (0 disables caching) and LRU stripes.
+  /// Per-shard result-cache entries; 0 disables caching.
   std::size_t cache_capacity = 1024;
-  std::size_t cache_shards = 4;
 };
 
 /// One row of the per-shard `--status` table.
@@ -96,7 +109,7 @@ class ShardedServer {
   /// The shard's registry, e.g. for wiring a per-shard OnlineService.
   ModelRegistry& registry(std::size_t shard);
 
-  /// Installs the online ingest/status hooks for one shard. Call before
+  /// Installs the online ingest/stats hooks for one shard. Call before
   /// traffic reaches the shard; the hook owner must outlive the server.
   void set_online_hooks(std::size_t shard, OnlineHooks hooks);
 
@@ -126,7 +139,9 @@ class ShardedServer {
   std::vector<ShardStatus> shard_statuses() const;
 
   /// Aggregate status report plus the per-shard table (models owned,
-  /// cache hits, queue depth, p50) and any per-shard online sections.
+  /// cache hits, queue depth, p50), the per-model version table (shard,
+  /// version, source, rows, fit error, age) and, when online hooks are
+  /// installed, one online table summed across shards.
   std::string status_report() const;
 
   /// Stops accepting work, waits for in-flight batches, stops and joins
@@ -162,7 +177,10 @@ class ShardedServer {
   void shard_loop(Shard& shard);
   void run_batch(Shard& shard, const Batch& batch);
   std::string process_one(Shard& shard, const Request& request);
-  std::string front_status_line();
+  std::string front_status_line() const;
+  /// Every shard's online stats summed; empty when no shard has a stats
+  /// hook.
+  std::optional<online::OnlineStats> online_stats() const;
   void publish_metrics();
 
   ShardedServerOptions options_;

@@ -355,8 +355,20 @@ TEST(CliTest, ServeAnswersRequestsFileAsOneShardedBatch) {
   EXPECT_EQ(lines[2].rfind("error bad-request", 0), 0u) << lines[2];
   EXPECT_EQ(lines[3].rfind("ok invert ", 0), 0u) << lines[3];
   EXPECT_NE(lines[4].find("shards=3"), std::string::npos) << lines[4];
-  // --status appends the per-shard table after the responses.
+  // Every shard runs an online service; their counters are summed into
+  // one set of online_* fields.
+  EXPECT_NE(lines[4].find("online_rows="), std::string::npos) << lines[4];
+  EXPECT_EQ(lines[4].find("online_rows="), lines[4].rfind("online_rows="))
+      << lines[4];
+  // --status appends the per-shard table, the per-model version table
+  // (both bundles came from files) and one online table.
   EXPECT_NE(result.out.find("Shard"), std::string::npos);
+  EXPECT_NE(result.out.find("Age [s]"), std::string::npos) << result.out;
+  EXPECT_NE(result.out.find("| file "), std::string::npos) << result.out;
+  EXPECT_NE(result.out.find("rows ingested"), std::string::npos);
+  EXPECT_EQ(result.out.find("rows ingested"),
+            result.out.rfind("rows ingested"))
+      << result.out;
   EXPECT_NE(result.err.find("across 3 shards"), std::string::npos)
       << result.err;
   std::remove(lulesh.c_str());

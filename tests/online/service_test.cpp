@@ -15,7 +15,7 @@
 #include "../serve/serve_test_util.hpp"
 #include "online/refitter.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
+#include "serve/sharded_server.hpp"
 #include "support/error.hpp"
 
 namespace exareq::online {
@@ -60,18 +60,15 @@ struct ScriptedFitter {
 };
 
 TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
-  serve::ModelRegistry registry;
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 1});
+  serve::ModelRegistry& registry = server.registry(0);
   OnlineServiceOptions options;
   options.policy.refit_rows = 3;
   ScriptedFitter fitter;
   OnlineService service(registry, options, fitter.fn());
+  server.set_online_hooks(0, service.hooks());
 
-  serve::ServerOptions server_options;
-  server_options.workers = 2;
-  server_options.online = service.hooks();
-  serve::Server server(registry, server_options);
-
-  const std::string response = server.handle(ingest_line("TestApp", 3));
+  const std::string response = server.handle_line(ingest_line("TestApp", 3));
   EXPECT_EQ(response.rfind("ok ingest accepted=3 pending=3", 0), 0u)
       << response;
   service.drain();
@@ -86,19 +83,21 @@ TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   EXPECT_EQ(fitter.rows_seen[0], 3u);
 
   // The refitted model answers queries.
-  const std::string eval = server.handle("eval TestApp footprint 4 64");
+  const std::string eval = server.handle_line("eval TestApp footprint 4 64");
   EXPECT_EQ(eval.rfind("ok eval ", 0), 0u) << eval;
 
   // The status line carries the online fields.
-  const std::string status = server.handle("status");
+  const std::string status = server.handle_line("status");
   EXPECT_NE(status.find("online_rows=3"), std::string::npos) << status;
   EXPECT_NE(status.find("online_refits=1"), std::string::npos) << status;
   // The --status report gains the per-model version/age table and the
-  // online section.
+  // online table.
   const std::string report = server.status_report();
   EXPECT_NE(report.find("online-refit"), std::string::npos) << report;
   EXPECT_NE(report.find("Age [s]"), std::string::npos) << report;
   EXPECT_NE(report.find("rows ingested"), std::string::npos) << report;
+  // Shard threads call the service's hooks, so the server stops first.
+  server.stop();
 }
 
 TEST(OnlineServiceTest, KeyQueuedAgainBeforeTakeRefitsOnce) {
@@ -282,14 +281,29 @@ TEST(OnlineServiceTest, FitFailureKeepsServingThePreviousVersion) {
 }
 
 TEST(OnlineServiceTest, IngestWithoutHooksIsRejectedByServer) {
-  serve::ModelRegistry registry;
-  registry.insert(serve::testing::make_test_requirements("app"));
-  serve::ServerOptions options;
-  options.workers = 1;
-  serve::Server server(registry, options);
-  const std::string response = server.handle(ingest_line("app", 1));
+  // Online hooks are per shard: a shard without them rejects ingest even
+  // while another shard runs an OnlineService.
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 2});
+  const std::size_t hooked = server.shard_of("app");
+  std::string other;  // an app owned by the shard without hooks
+  for (int i = 0; other.empty(); ++i) {
+    const std::string name = "app" + std::to_string(i);
+    if (server.shard_of(name) != hooked) other = name;
+  }
+  server.insert(serve::testing::make_test_requirements(other));
+  ScriptedFitter fitter;
+  OnlineService service(server.registry(hooked), OnlineServiceOptions{},
+                        fitter.fn());
+  server.set_online_hooks(hooked, service.hooks());
+
+  const std::string response = server.handle_line(ingest_line(other, 1));
   EXPECT_EQ(response.rfind("error bad-request:", 0), 0u) << response;
   EXPECT_NE(response.find("not enabled"), std::string::npos) << response;
+  const std::string accepted = server.handle_line(ingest_line("app", 1));
+  EXPECT_EQ(accepted.rfind("ok ingest accepted=1", 0), 0u) << accepted;
+  EXPECT_EQ(service.stats().rows_ingested, 1u);
+  // Shard threads call the service's hooks, so the server stops first.
+  server.stop();
 }
 
 }  // namespace

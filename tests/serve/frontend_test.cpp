@@ -4,15 +4,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/binary_protocol.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
+#include "serve/query_engine.hpp"
+#include "serve/registry.hpp"
 #include "serve/sharded_server.hpp"
-#include "serve/socket_server.hpp"
 #include "serve_test_util.hpp"
 #include "support/error.hpp"
 
@@ -33,11 +35,11 @@ std::string unique_socket_path(const std::string& stem) {
          ".sock";
 }
 
+const char* const kApps[] = {"lulesh", "hpcg", "amg",
+                             "relearn", "milc", "kripke"};
+
 void load_apps(ShardedServer& server) {
-  for (const char* app : {"lulesh", "hpcg", "amg", "relearn", "milc",
-                          "kripke"}) {
-    server.insert(make_test_requirements(app));
-  }
+  for (const char* app : kApps) server.insert(make_test_requirements(app));
 }
 
 Request eval_request(const std::string& app, double p, double n) {
@@ -58,8 +60,8 @@ TEST(ShardedFrontEndTest, TextClientsWorkOverUnixSocket) {
   FrontEnd front(server, FrontEndOptions{
                              .unix_path = unique_socket_path("text")});
   front.start();
-  // The legacy one-shot text client must work unchanged against the
-  // binary-capable front end (satellite: mixed-client compatibility).
+  // The one-shot text client works unchanged against the binary-capable
+  // front end.
   EXPECT_EQ(exareq::serve::query_over_socket(front.options().unix_path,
                                              "eval lulesh flops 64 100"),
             server.handle_line("eval lulesh flops 64 100"));
@@ -124,8 +126,8 @@ TEST(ShardedFrontEndTest, UnixAndTcpListenersRunTogether) {
 }
 
 TEST(ShardedFrontEndTest, MixedClientsShareOneListener) {
-  // Satellite: text and binary clients concurrently against one listener;
-  // protocol detection is per connection.
+  // Text and binary clients run concurrently against one listener; protocol
+  // detection is per connection.
   ShardedServer server(ShardedServerOptions{.shards = 4});
   load_apps(server);
   FrontEnd front(server, FrontEndOptions{
@@ -252,25 +254,6 @@ TEST(ShardedFrontEndTest, OversizedBinaryFrameRecoversPerConnection) {
   EXPECT_EQ(small[0].rfind("ok eval ", 0), 0u);
 }
 
-TEST(ShardedFrontEndTest, LegacySocketServerHonorsMaxFrameOption) {
-  // Satellite: the legacy text front end's limit is configurable too.
-  exareq::serve::ModelRegistry registry;
-  registry.insert(make_test_requirements("alpha"));
-  exareq::serve::Server server(registry, {.workers = 1});
-  exareq::serve::SocketServer socket_server(
-      server, unique_socket_path("legacymax"), 64);
-  EXPECT_EQ(socket_server.max_frame_bytes(), 64u);
-  socket_server.start();
-  const std::string oversized = "eval alpha flops 64 " + std::string(200, '1');
-  EXPECT_EQ(exareq::serve::query_over_socket(socket_server.path(), oversized)
-                .rfind("error bad-request", 0),
-            0u);
-  EXPECT_EQ(exareq::serve::query_over_socket(socket_server.path(),
-                                             "eval alpha flops 64 1024")
-                .rfind("ok eval ", 0),
-            0u);
-}
-
 TEST(ShardedFrontEndTest, StatusOverTextAndBinaryAgreeOnShardCount) {
   ShardedServer server(ShardedServerOptions{.shards = 3});
   load_apps(server);
@@ -286,4 +269,68 @@ TEST(ShardedFrontEndTest, StatusOverTextAndBinaryAgreeOnShardCount) {
       front.options().unix_path, {status});
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("shards=3"), std::string::npos);
+}
+
+// ServeSocketTest: the one-shot text client against a FrontEnd listening
+// on a Unix socket.
+
+TEST(ServeSocketTest, RoundTripsRequestsOverUnixSocket) {
+  ShardedServer server(ShardedServerOptions{.shards = 2});
+  load_apps(server);
+  FrontEnd front(server, FrontEndOptions{
+                             .unix_path = unique_socket_path("roundtrip")});
+  front.start();
+  const std::string& path = front.options().unix_path;
+
+  const exareq::codesign::AppRequirements direct =
+      make_test_requirements("lulesh");
+  EXPECT_EQ(exareq::serve::query_over_socket(path, "eval lulesh flops 64 1024"),
+            "ok eval " + exareq::serve::render_value(
+                             direct.flops.evaluate2(64.0, 1024.0)));
+  EXPECT_EQ(exareq::serve::query_over_socket(path, "garbage")
+                .rfind("error bad-request", 0),
+            0u);
+  // Once stopped, the front end no longer listens.
+  front.stop();
+  EXPECT_THROW(exareq::serve::query_over_socket(path, "status"),
+               exareq::Error);
+}
+
+TEST(ServeSocketTest, ServesManyConcurrentClients) {
+  ShardedServer server(ShardedServerOptions{.shards = 4});
+  load_apps(server);
+  FrontEnd front(server, FrontEndOptions{
+                             .unix_path = unique_socket_path("concurrent")});
+  front.start();
+
+  // Reference answers from one uncached engine over the same models.
+  exareq::serve::ModelRegistry reference_registry;
+  for (const char* app : kApps) {
+    reference_registry.insert(make_test_requirements(app));
+  }
+  exareq::serve::QueryEngine reference(reference_registry);
+
+  constexpr int kClients = 8;
+  constexpr int kRequestsPerClient = 16;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        const std::string line =
+            std::string("eval ") + kApps[(c + i) % std::size(kApps)] +
+            " flops " + std::to_string(4 << (c % 3)) + ' ' +
+            std::to_string(32 + i);
+        if (exareq::serve::query_over_socket(front.options().unix_path,
+                                             line) !=
+            reference.answer_line(line)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.metrics().responses_ok,
+            static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
 }
