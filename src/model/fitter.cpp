@@ -6,8 +6,10 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
+#include "model/linalg.hpp"
 #include "model/term_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -37,73 +39,11 @@ double relative_error(double predicted, double observed, double scale) {
 /// each spanning every coordinate of the data set.
 using Columns = std::vector<const std::vector<double>*>;
 
-/// Design matrix of [1, basis_1, ..., basis_k] over the selected rows,
-/// assembled from cached columns.
-Matrix design_matrix(const Columns& columns, std::span<const std::size_t> rows) {
-  Matrix a(rows.size(), columns.size() + 1);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    a(r, 0) = 1.0;
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      a(r, c + 1) = (*columns[c])[rows[r]];
-    }
-  }
-  return a;
-}
-
-std::vector<std::size_t> all_rows(std::size_t count) {
-  std::vector<std::size_t> rows(count);
-  for (std::size_t i = 0; i < count; ++i) rows[i] = i;
-  return rows;
-}
-
 struct CoefficientFit {
   double constant = 0.0;
   std::vector<double> coefficients;
   bool admissible = false;
 };
-
-/// `scale` is the full data set's observation scale: the near-zero floor of
-/// the relative-residual weights is anchored to the data set, not to the
-/// row subset, so a leave-one-out fold weighs each surviving row exactly
-/// like the full fit does (and like the batched downdate path, which shares
-/// one factorization across all folds, must).
-CoefficientFit fit_coefficients(std::span<const double> values,
-                                const Columns& columns,
-                                std::span<const std::size_t> rows,
-                                const FitOptions& options, double scale,
-                                std::atomic<std::size_t>& solves) {
-  CoefficientFit fit;
-  if (rows.size() < columns.size() + 1) return fit;  // underdetermined
-
-  const Matrix a = design_matrix(columns, rows);
-  std::vector<double> y(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) y[r] = values[rows[r]];
-
-  solves.fetch_add(1, std::memory_order_relaxed);
-  LeastSquaresResult solved;
-  if (options.relative_residuals) {
-    std::vector<double> weights(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      weights[r] = 1.0 / std::max(std::fabs(y[r]), 1e-9 * scale);
-    }
-    solved = weighted_least_squares(a, y, weights);
-  } else {
-    solved = least_squares(a, y);
-  }
-  if (solved.rank_deficient) return fit;
-  for (double c : solved.solution) {
-    if (!std::isfinite(c)) return fit;
-  }
-  fit.constant = solved.solution[0];
-  fit.coefficients.assign(solved.solution.begin() + 1, solved.solution.end());
-  if (options.require_nonnegative) {
-    for (double c : fit.coefficients) {
-      if (c < 0.0) return fit;
-    }
-  }
-  fit.admissible = true;
-  return fit;
-}
 
 Model make_model(const MeasurementSet& data, const std::vector<Term>& basis,
                  const CoefficientFit& fit) {
@@ -181,13 +121,15 @@ struct FitEngine::Impl {
   std::unordered_map<std::string, double> score_memo;
 
   // Precomputed once per engine: the fitter's weighted view of the data.
-  // The batched path factors [w*1, w*col_1, ...] against w*y directly, so
-  // the row weights and weighted observations are shared by every
-  // hypothesis the engine ever scores.
+  // Every solve factors [w*1, w*col_1, ...] against w*y over some rows, so
+  // the row weights are shared by every hypothesis and fold the engine ever
+  // fits. The near-zero floor of the relative-residual weights is anchored
+  // to the whole data set, so a leave-one-out fold weighs each surviving
+  // row exactly like the full fit does.
   double obs_scale = 1.0;
-  std::vector<double> row_weights;       ///< empty when absolute residuals
-  std::vector<double> intercept_column;  ///< w (or all-ones)
-  std::vector<double> weighted_values;   ///< w*y (or y)
+  std::vector<double> row_weights;  ///< empty when absolute residuals
+  std::vector<double> ones;         ///< the intercept's basis column
+  std::vector<std::size_t> every_row;
 
   Impl(const MeasurementSet& data_in, const FitOptions& options_in)
       : data(data_in), options(options_in), cache(data_in) {
@@ -197,15 +139,14 @@ struct FitEngine::Impl {
     if (options.threads > 1) pool = &exareq::shared_pool(options.threads);
     obs_scale = observation_scale(data.values());
     const std::size_t m = data.size();
-    intercept_column.assign(m, 1.0);
-    weighted_values.assign(data.values().begin(), data.values().end());
+    ones.assign(m, 1.0);
+    every_row.resize(m);
+    for (std::size_t r = 0; r < m; ++r) every_row[r] = r;
     if (options.relative_residuals) {
       row_weights.resize(m);
       for (std::size_t r = 0; r < m; ++r) {
         row_weights[r] =
             1.0 / std::max(std::fabs(data.value(r)), 1e-9 * obs_scale);
-        intercept_column[r] = row_weights[r];
-        weighted_values[r] *= row_weights[r];
       }
     }
   }
@@ -245,44 +186,76 @@ struct FitEngine::Impl {
     return true;
   }
 
-  /// The candidate column in the weighted problem: w .* column.
-  std::vector<double> weighted_copy(const std::vector<double>& column) const {
-    std::vector<double> out(column);
-    if (!row_weights.empty()) {
-      for (std::size_t r = 0; r < out.size(); ++r) out[r] *= row_weights[r];
+  /// w .* column over `rows`: one column of the weighted problem.
+  std::vector<double> weighted_rows(const std::vector<double>& column,
+                                    std::span<const std::size_t> rows) const {
+    std::vector<double> out(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out[i] = column[rows[i]];
+      if (!row_weights.empty()) out[i] *= row_weights[rows[i]];
     }
     return out;
   }
 
-  /// Factors the weighted design [w*1, w*col_1, ..., w*col_k] against w*y,
-  /// retaining the reflectors so callers can extend or downdate it.
-  RetainedQr factor_basis(const Columns& columns) const {
-    RetainedQr qr(data.size(), weighted_values);
-    qr.append_column(intercept_column);
+  /// Factors the weighted design [w*1, w*col_1, ..., w*col_k] against w*y
+  /// over `rows`, retaining the reflectors so callers can extend or
+  /// downdate it. Every least-squares solve of the fitter starts here:
+  /// full-data fits and batched scoring pass every row, the scalar
+  /// engine's folds the m-1 rows that remain.
+  RetainedQr factor_basis(const Columns& columns,
+                          std::span<const std::size_t> rows) const {
+    RetainedQr qr(rows.size(), weighted_rows(data.values(), rows));
+    qr.append_column(weighted_rows(ones, rows));
     for (const std::vector<double>* column : columns) {
       if (qr.rank_deficient()) break;
-      qr.append_column(weighted_copy(*column));
+      qr.append_column(weighted_rows(*column, rows));
     }
     return qr;
   }
 
+  /// The coefficient checks every solution passes, full fit or fold:
+  /// finite, and (when required) non-negative term coefficients — index 0
+  /// is the constant, which may take any sign.
+  bool admissible(std::span<const double> solution) const {
+    for (double c : solution) {
+      if (!std::isfinite(c)) return false;
+    }
+    if (options.require_nonnegative) {
+      for (std::size_t c = 1; c < solution.size(); ++c) {
+        if (solution[c] < 0.0) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Weighted least-squares fit of [1, columns...] over `rows`: one
+  /// factorization, counted as a solve. Inadmissible when underdetermined,
+  /// rank-deficient, or rejected by `admissible`.
+  CoefficientFit fit_coefficients(const Columns& columns,
+                                  std::span<const std::size_t> rows) {
+    CoefficientFit fit;
+    if (rows.size() < columns.size() + 1) return fit;  // underdetermined
+    solves.fetch_add(1, std::memory_order_relaxed);
+    RetainedQr qr = factor_basis(columns, rows);
+    if (qr.rank_deficient()) return fit;
+    qr.solve();
+    const std::vector<double>& solution = qr.solution();
+    if (!admissible(solution)) return fit;
+    fit.constant = solution[0];
+    fit.coefficients.assign(solution.begin() + 1, solution.end());
+    fit.admissible = true;
+    return fit;
+  }
+
   /// LOO score from an already-solved factorization: admissibility of the
   /// full fit, then one rank-one downdate per fold instead of a refit.
-  /// Checks per fold mirror the scalar path exactly — finiteness,
-  /// non-negativity, the leverage guard standing in for per-fold rank
+  /// Checks per fold mirror the scalar path exactly — the same
+  /// `admissible`, and the leverage guard standing in for per-fold rank
   /// deficiency — so both paths reject the same hypotheses.
   double cv_from_factored(const RetainedQr& qr, const Columns& columns) {
     const std::size_t m = data.size();
     const std::size_t k = columns.size();
-    const std::vector<double>& beta = qr.solution();
-    for (double c : beta) {
-      if (!std::isfinite(c)) return kInfinity;
-    }
-    if (options.require_nonnegative) {
-      for (std::size_t c = 1; c <= k; ++c) {
-        if (beta[c] < 0.0) return kInfinity;
-      }
-    }
+    if (!admissible(qr.solution())) return kInfinity;
 
     double total = 0.0;
     std::vector<double> fold(k + 1);
@@ -291,14 +264,7 @@ struct FitEngine::Impl {
       downdate_count.fetch_add(1, std::memory_order_relaxed);
       double loo_residual = 0.0;
       if (!qr.leave_one_out(left_out, fold, &loo_residual)) return kInfinity;
-      for (double c : fold) {
-        if (!std::isfinite(c)) return kInfinity;
-      }
-      if (options.require_nonnegative) {
-        for (std::size_t c = 1; c <= k; ++c) {
-          if (fold[c] < 0.0) return kInfinity;
-        }
-      }
+      if (!admissible(fold)) return kInfinity;
       for (std::size_t c = 0; c < k; ++c) {
         fold_coefficients[c].push_back(fold[c + 1]);
       }
@@ -321,7 +287,7 @@ struct FitEngine::Impl {
     if (m < basis.size() + 2) return kInfinity;
     const Columns columns = columns_for(basis);
     solves.fetch_add(1, std::memory_order_relaxed);
-    RetainedQr qr = factor_basis(columns);
+    RetainedQr qr = factor_basis(columns, every_row);
     if (qr.rank_deficient()) return kInfinity;
     qr.solve();
     return cv_from_factored(qr, columns);
@@ -343,8 +309,7 @@ struct FitEngine::Impl {
     // the hypothesis is rejected outright.
     CoefficientFit local;
     if (full_fit == nullptr) {
-      local = fit_coefficients(data.values(), columns, all_rows(m), options,
-                               obs_scale, solves);
+      local = fit_coefficients(columns, every_row);
       full_fit = &local;
     }
     if (!full_fit->admissible) return kInfinity;
@@ -358,9 +323,7 @@ struct FitEngine::Impl {
       for (std::size_t r = 0; r < m; ++r) {
         if (r != left_out) subset.push_back(r);
       }
-      const CoefficientFit fit = fit_coefficients(data.values(), columns,
-                                                  subset, options, obs_scale,
-                                                  solves);
+      const CoefficientFit fit = fit_coefficients(columns, subset);
       if (!fit.admissible) return kInfinity;
       double predicted = fit.constant;
       for (std::size_t c = 0; c < basis.size(); ++c) {
@@ -460,14 +423,14 @@ struct FitEngine::Impl {
       // below extends it by a single Householder column, which costs a
       // column update, not a solve.
       solves.fetch_add(1, std::memory_order_relaxed);
-      const RetainedQr prefix = factor_basis(prefix_columns);
+      const RetainedQr prefix = factor_basis(prefix_columns, every_row);
       if (!prefix.rank_deficient()) {
         for_each_index(missing.size(), [&](std::size_t idx) {
           const Term& extension = extensions[missing[idx]];
           const std::vector<double>& column = cache.column(extension);
           extension_count.fetch_add(1, std::memory_order_relaxed);
           RetainedQr qr = prefix;
-          qr.append_column(weighted_copy(column));
+          qr.append_column(weighted_rows(column, every_row));
           if (qr.rank_deficient()) return;  // fresh[idx] stays +inf
           qr.solve();
           Columns trial_columns = prefix_columns;
@@ -509,11 +472,8 @@ std::vector<double> FitEngine::score_extensions(
 FitResult FitEngine::refit(const std::vector<Term>& basis) {
   exareq::require(!impl_->data.empty(), "refit_hypothesis: empty measurement set");
   const auto started = std::chrono::steady_clock::now();
-  const auto rows = all_rows(impl_->data.size());
-  const Columns columns = impl_->columns_for(basis);
-  const CoefficientFit fit = fit_coefficients(impl_->data.values(), columns,
-                                              rows, impl_->options,
-                                              impl_->obs_scale, impl_->solves);
+  const CoefficientFit fit = impl_->fit_coefficients(impl_->columns_for(basis),
+                                                     impl_->every_row);
   if (!fit.admissible) {
     throw exareq::NumericError(
         "refit_hypothesis: hypothesis inadmissible for this data "
@@ -802,12 +762,10 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
 
   // Negligible-term pruning: refit, measure each term's largest relative
   // contribution over the data, and drop terms below the threshold.
-  const auto rows = all_rows(data.size());
   for (bool pruned = true; pruned && !selected.empty();) {
     pruned = false;
     const CoefficientFit trial_fit =
-        fit_coefficients(data.values(), engine.columns_for(selected), rows,
-                         options, engine.obs_scale, engine.solves);
+        engine.fit_coefficients(engine.columns_for(selected), engine.every_row);
     if (!trial_fit.admissible) break;
     const Model trial_model = make_model(data, selected, trial_fit);
     for (std::size_t t = 0; t < selected.size(); ++t) {
@@ -838,8 +796,7 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
   }
 
   CoefficientFit fit =
-      fit_coefficients(data.values(), engine.columns_for(selected), rows,
-                       options, engine.obs_scale, engine.solves);
+      engine.fit_coefficients(engine.columns_for(selected), engine.every_row);
   if (!fit.admissible) {
     // Degenerate data (fewer points than coefficients was excluded by the
     // CV admissibility test, so this only happens for the constant case on

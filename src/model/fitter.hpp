@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "model/linalg.hpp"
 #include "model/measurement.hpp"
 #include "model/model.hpp"
 #include "model/search_space.hpp"
@@ -73,10 +72,12 @@ struct FitOptions {
   /// downdate, and candidate generations extending a shared selected-prefix
   /// factorization — O(candidates) solves instead of
   /// O(candidates x folds). False falls back to the per-fold scalar refits
-  /// (the differential-oracle reference and the bench baseline). Both modes
-  /// select the same models; scores agree to ~1e-12 relative (the batched
-  /// path solves the same equations along an algebraically equivalent
-  /// route, so only last-ulp rounding differs).
+  /// (the differential-oracle reference). Scores agree to ~1e-12 relative
+  /// (the batched path solves the same equations along an algebraically
+  /// equivalent route, so only last-ulp rounding differs), and both modes
+  /// select the same models except where a coefficient that is zero in
+  /// exact arithmetic changes sign between a refit and a downdate (see
+  /// docs/MODELING.md, section 8).
   bool batched_cv = true;
   /// Number of first-term candidates the search branches on. PMNF grids
   /// contain near-degenerate shapes (x^1.125 vs x * log2(x) over narrow

@@ -6,125 +6,8 @@
 
 namespace exareq::model {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {
-  exareq::require(rows >= 1 && cols >= 1, "Matrix: dimensions must be positive");
-}
-
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  exareq::require(r < rows_ && c < cols_, "Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  exareq::require(r < rows_ && c < cols_, "Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> x) const {
-  exareq::require(x.size() == cols_, "Matrix::multiply: size mismatch");
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += data_[r * cols_ + c] * x[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
-LeastSquaresResult least_squares(const Matrix& a, std::span<const double> b) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  exareq::require(b.size() == m, "least_squares: rhs size mismatch");
-  exareq::require(m >= n, "least_squares: need rows >= cols");
-
-  // Column equilibration: scale each column to unit max-norm so that basis
-  // functions of wildly different magnitude coexist in one factorization.
-  std::vector<double> column_scale(n, 1.0);
-  Matrix work = a;
-  for (std::size_t c = 0; c < n; ++c) {
-    double max_abs = 0.0;
-    for (std::size_t r = 0; r < m; ++r) {
-      max_abs = std::max(max_abs, std::fabs(work(r, c)));
-    }
-    if (max_abs > 0.0) {
-      column_scale[c] = max_abs;
-      for (std::size_t r = 0; r < m; ++r) work(r, c) /= max_abs;
-    }
-  }
-
-  std::vector<double> rhs(b.begin(), b.end());
-  LeastSquaresResult result;
-  result.solution.assign(n, 0.0);
-
-  // Householder QR applied in place; R overwrites the upper triangle.
-  std::vector<bool> dead_column(n, false);
-  for (std::size_t k = 0; k < n; ++k) {
-    double norm = 0.0;
-    for (std::size_t r = k; r < m; ++r) norm += work(r, k) * work(r, k);
-    norm = std::sqrt(norm);
-    if (norm < 1e-12) {
-      dead_column[k] = true;
-      result.rank_deficient = true;
-      continue;
-    }
-    const double alpha = work(k, k) >= 0.0 ? -norm : norm;
-    std::vector<double> v(m - k, 0.0);
-    v[0] = work(k, k) - alpha;
-    for (std::size_t r = k + 1; r < m; ++r) v[r - k] = work(r, k);
-    double v_norm_sq = 0.0;
-    for (double value : v) v_norm_sq += value * value;
-    if (v_norm_sq < 1e-300) {
-      work(k, k) = alpha;
-      continue;
-    }
-    // Apply H = I - 2 v v^T / (v^T v) to the remaining columns and rhs.
-    for (std::size_t c = k; c < n; ++c) {
-      double dot = 0.0;
-      for (std::size_t r = k; r < m; ++r) dot += v[r - k] * work(r, c);
-      const double factor = 2.0 * dot / v_norm_sq;
-      for (std::size_t r = k; r < m; ++r) work(r, c) -= factor * v[r - k];
-    }
-    double dot = 0.0;
-    for (std::size_t r = k; r < m; ++r) dot += v[r - k] * rhs[r];
-    const double factor = 2.0 * dot / v_norm_sq;
-    for (std::size_t r = k; r < m; ++r) rhs[r] -= factor * v[r - k];
-  }
-
-  // Back substitution on R x = Q^T b, skipping dead columns.
-  for (std::size_t ki = n; ki-- > 0;) {
-    if (dead_column[ki]) {
-      result.solution[ki] = 0.0;
-      continue;
-    }
-    double acc = rhs[ki];
-    for (std::size_t c = ki + 1; c < n; ++c) {
-      acc -= work(ki, c) * result.solution[c];
-    }
-    const double diag = work(ki, ki);
-    if (std::fabs(diag) < 1e-12) {
-      result.solution[ki] = 0.0;
-      result.rank_deficient = true;
-    } else {
-      result.solution[ki] = acc / diag;
-    }
-  }
-
-  // Undo column scaling.
-  for (std::size_t c = 0; c < n; ++c) result.solution[c] /= column_scale[c];
-
-  // Residual in the original (unscaled) problem.
-  const std::vector<double> predicted = a.multiply(result.solution);
-  double residual = 0.0;
-  for (std::size_t r = 0; r < m; ++r) {
-    residual += (predicted[r] - b[r]) * (predicted[r] - b[r]);
-  }
-  result.residual_norm = std::sqrt(residual);
-  return result;
-}
-
 RetainedQr::RetainedQr(std::size_t rows, std::span<const double> rhs)
-    : rows_(rows), rhs_(rhs.begin(), rhs.end()), qtb_(rhs.begin(), rhs.end()) {
+    : rows_(rows), qtb_(rhs.begin(), rhs.end()) {
   exareq::require(rhs.size() == rows, "RetainedQr: rhs size mismatch");
   exareq::require(rows >= 1, "RetainedQr: need at least one row");
 }
@@ -137,7 +20,7 @@ void RetainedQr::append_column(std::span<const double> column) {
   const std::size_t k = r_columns_.size();
   exareq::require(k < rows_, "RetainedQr::append_column: more columns than rows");
 
-  // Column equilibration to unit max-norm, as in least_squares.
+  // Column equilibration to unit max-norm.
   double max_abs = 0.0;
   for (double value : column) max_abs = std::max(max_abs, std::fabs(value));
   const double scale = max_abs > 0.0 ? max_abs : 1.0;
@@ -193,6 +76,15 @@ void RetainedQr::append_column(std::span<const double> column) {
     qtb_[k + i] -= factor * reflector.v[i];
   }
 
+  // The column's own k-th entry after its reflection: alpha up to rounding,
+  // computed the way a right-looking factorization computes it.
+  dot = 0.0;
+  for (std::size_t i = 0; i < reflector.v.size(); ++i) {
+    dot += reflector.v[i] * work[k + i];
+  }
+  const double self_factor = 2.0 * dot / reflector.norm_sq;
+  reflected_diagonal_.push_back(work[k] - self_factor * reflector.v[0]);
+
   r_col.push_back(alpha);
   r_columns_.push_back(std::move(r_col));
   reflectors_.push_back(std::move(reflector));
@@ -210,7 +102,7 @@ void RetainedQr::solve() {
     for (std::size_t c = ki + 1; c < n; ++c) {
       acc -= r_columns_[c][ki] * scaled_solution_[c];
     }
-    scaled_solution_[ki] = acc / r_columns_[ki][ki];
+    scaled_solution_[ki] = acc / reflected_diagonal_[ki];
   }
   solution_.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
@@ -280,25 +172,6 @@ bool RetainedQr::leave_one_out(std::size_t row, std::span<double> out,
   // PRESS: b_row - a_row . x_loo = e_row / (1 - h); `gain` is exactly that.
   if (loo_residual != nullptr) *loo_residual = gain;
   return true;
-}
-
-LeastSquaresResult weighted_least_squares(const Matrix& a,
-                                          std::span<const double> b,
-                                          std::span<const double> weights) {
-  exareq::require(weights.size() == b.size(),
-                  "weighted_least_squares: weight size mismatch");
-  Matrix scaled = a;
-  std::vector<double> rhs(b.begin(), b.end());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    exareq::require(weights[r] >= 0.0,
-                    "weighted_least_squares: negative weight");
-    for (std::size_t c = 0; c < a.cols(); ++c) scaled(r, c) *= weights[r];
-    rhs[r] *= weights[r];
-  }
-  LeastSquaresResult result = least_squares(scaled, rhs);
-  // Report the residual of the *weighted* problem, which is what the fitter
-  // minimizes and compares across hypotheses.
-  return result;
 }
 
 }  // namespace exareq::model

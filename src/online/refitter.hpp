@@ -69,7 +69,10 @@ class IncrementalRefitter {
 
   /// Appends `new_rows` (possibly empty, e.g. a retry after a busy gate) to
   /// the application's dataset of record and attempts one refit over it.
-  /// Never throws: fit errors are reported in the outcome.
+  /// The new version keeps the name of the registered bundle (the registry
+  /// matches `app` case-insensitively); an app not yet registered is
+  /// published as `app`. Never throws: fit errors are reported in the
+  /// outcome.
   RefitOutcome refit(const std::string& app,
                      std::vector<pipeline::AppMeasurement> new_rows);
 

@@ -76,6 +76,7 @@ std::string OnlineService::handle_ingest(const serve::Request& request) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.batches_accepted;
     stats_.rows_ingested += accepted;
+    names_.emplace(key, request.app);
   }
   obs::MetricRegistry::instance().counter("online.rows_ingested").add(accepted);
 
@@ -118,6 +119,8 @@ void OnlineService::worker_loop() {
     queue_.pop_front();
     queued_.erase(key);
     const bool retry = retry_.erase(key) > 0;
+    const auto named = names_.find(key);
+    const std::string name = named == names_.end() ? key : named->second;
     busy_ = true;
     lock.unlock();
 
@@ -129,7 +132,7 @@ void OnlineService::worker_loop() {
       lock.lock();
       continue;
     }
-    const RefitOutcome outcome = refitter_.refit(key, std::move(rows));
+    const RefitOutcome outcome = refitter_.refit(name, std::move(rows));
 
     auto& metrics = obs::MetricRegistry::instance();
     lock.lock();

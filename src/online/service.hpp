@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -101,6 +102,9 @@ class OnlineService {
   /// Queued keys whose single-flight gate was busy: their rows are already
   /// in the refitter, so the next pass refits even when it takes none.
   std::set<std::string> retry_;
+  /// Key -> the app name as first ingested; a refit of a model the
+  /// registry does not hold yet publishes under it.
+  std::map<std::string, std::string> names_;
   bool busy_ = false;             ///< worker is mid-refit
   bool stopping_ = false;
   OnlineStats stats_;

@@ -113,6 +113,39 @@ std::string compute_strawman(const codesign::AppRequirements& app) {
   return os.str();
 }
 
+/// Answers one eval/invert/upgrade/strawman request from `app`'s models.
+std::string compute_for(const codesign::AppRequirements& app,
+                        const Request& request) {
+  switch (request.kind) {
+    case RequestKind::kEval:
+      return compute_eval(app, request);
+    case RequestKind::kInvert:
+      return compute_invert(app, request);
+    case RequestKind::kUpgrade:
+      return compute_upgrade(app, request);
+    case RequestKind::kStrawman:
+      return compute_strawman(app);
+    case RequestKind::kStatus:
+    case RequestKind::kIngest:
+      break;
+  }
+  throw exareq::InvalidArgument("unhandled request kind");
+}
+
+/// The response line of the library error being handled; call it from a
+/// catch block.
+std::string current_error_response() {
+  try {
+    throw;
+  } catch (const exareq::NumericError& error) {
+    return error_response("numeric", error.what());
+  } catch (const exareq::InvalidArgument& error) {
+    return error_response("bad-request", error.what());
+  } catch (const std::exception& error) {
+    return error_response("internal", error.what());
+  }
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(ModelRegistry& registry, ShardedLruCache* cache)
@@ -123,29 +156,31 @@ std::string QueryEngine::compute(const Request& request) {
                   "status requests are answered by the server");
   exareq::require(request.kind != RequestKind::kIngest,
                   "ingest requests are routed to the online service");
-  const std::shared_ptr<const codesign::AppRequirements> app =
-      registry_.get(request.app);
-  switch (request.kind) {
-    case RequestKind::kEval:
-      return compute_eval(*app, request);
-    case RequestKind::kInvert:
-      return compute_invert(*app, request);
-    case RequestKind::kUpgrade:
-      return compute_upgrade(*app, request);
-    case RequestKind::kStrawman:
-      return compute_strawman(*app);
-    case RequestKind::kStatus:
-    case RequestKind::kIngest:
-      break;
-  }
-  throw exareq::InvalidArgument("unhandled request kind");
+  return compute_for(*registry_.get(request.app), request);
 }
 
 std::string QueryEngine::answer(const Request& request) {
   const bool use_cache = cache_ != nullptr && cacheable(request);
+  std::shared_ptr<const online::ModelVersion> version;
   std::string key;
   if (use_cache) {
+    // The key carries the model version the answer is computed from, so a
+    // hot swap leaves the previous version's answers unreachable — they
+    // age out of the LRU — instead of serving them.
+    version = registry_.version_of(request.app);
+    if (version == nullptr) {
+      // Not loaded yet: fit on demand first. An unknown app or a failed
+      // fit is answered without caching, so a later load shows at once.
+      try {
+        registry_.get(request.app);
+      } catch (const std::exception&) {
+        return current_error_response();
+      }
+      version = registry_.version_of(request.app);
+    }
     key = canonical_key(request);
+    key += "|v";
+    key += std::to_string(version->version);
     obs::ScopedSpan lookup("cache_lookup", "serve");
     if (auto cached = cache_->get(key)) {
       return *cached;
@@ -156,13 +191,10 @@ std::string QueryEngine::answer(const Request& request) {
     obs::ScopedSpan span("compute", "serve");
     span.arg("kind", static_cast<double>(request.kind));
     try {
-      response = ok_response(compute(request));
-    } catch (const exareq::NumericError& error) {
-      response = error_response("numeric", error.what());
-    } catch (const exareq::InvalidArgument& error) {
-      response = error_response("bad-request", error.what());
-    } catch (const std::exception& error) {
-      response = error_response("internal", error.what());
+      response = ok_response(use_cache ? compute_for(*version->models, request)
+                                       : compute(request));
+    } catch (const std::exception&) {
+      response = current_error_response();
     }
   }
   // Negative results are cached too: an infeasible co-design query is just

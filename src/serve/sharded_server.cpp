@@ -143,16 +143,16 @@ std::vector<std::string> ShardedServer::submit_batch(
   }
 
   // Bucket by owning shard; status requests are answered here, at the
-  // front end, because only it sees the cross-shard aggregate.
+  // front end, because only it sees the cross-shard aggregate — and after
+  // the rest of the batch, so they report its effects.
   std::vector<std::vector<std::size_t>> buckets(shards_.size());
+  std::vector<std::size_t> statuses;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (requests[i].kind == RequestKind::kStatus) {
-      front_metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-      front_metrics_.responses_ok.fetch_add(1, std::memory_order_relaxed);
-      responses[i] = ok_response("status " + front_status_line());
-      continue;
+      statuses.push_back(i);
+    } else {
+      buckets[shard_of(requests[i].app)].push_back(i);
     }
-    buckets[shard_of(requests[i].app)].push_back(i);
   }
 
   std::size_t buckets_used = 0;
@@ -193,6 +193,11 @@ std::vector<std::string> ShardedServer::submit_batch(
   // The buckets execute on their shards in parallel; each writes its own
   // response slots before counting down.
   done.wait();
+  for (const std::size_t i : statuses) {
+    front_metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+    front_metrics_.responses_ok.fetch_add(1, std::memory_order_relaxed);
+    responses[i] = ok_response("status " + front_status_line());
+  }
   return responses;
 }
 

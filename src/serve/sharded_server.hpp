@@ -122,7 +122,8 @@ class ShardedServer {
 
   /// Answers a batch: bucket by shard, dispatch the buckets in parallel,
   /// scatter the responses back into request order. Status requests are
-  /// answered at the front end (they need the cross-shard aggregate).
+  /// answered at the front end (they need the cross-shard aggregate),
+  /// after the batch's other requests, so they count them.
   /// Thread-safe; any number of client threads may batch concurrently.
   std::vector<std::string> submit_batch(const std::vector<Request>& requests);
 

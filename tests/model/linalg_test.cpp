@@ -11,165 +11,152 @@
 namespace exareq::model {
 namespace {
 
-TEST(LinalgTest, MatrixAccessAndMultiply) {
-  Matrix a(2, 3);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(0, 2) = 3.0;
-  a(1, 0) = 4.0;
-  a(1, 1) = 5.0;
-  a(1, 2) = 6.0;
-  const std::vector<double> x{1.0, 1.0, 1.0};
-  const auto y = a.multiply(x);
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[1], 15.0);
+/// A design matrix as a list of columns, the layout RetainedQr consumes.
+using Columns = std::vector<std::vector<double>>;
+
+RetainedQr factor(const Columns& a, const std::vector<double>& b) {
+  RetainedQr qr(b.size(), b);
+  for (const std::vector<double>& column : a) qr.append_column(column);
+  return qr;
 }
 
-TEST(LinalgTest, MatrixRejectsOutOfRange) {
-  Matrix a(2, 2);
-  EXPECT_THROW(a(2, 0), exareq::InvalidArgument);
-  EXPECT_THROW(a(0, 2), exareq::InvalidArgument);
+/// b - A x.
+std::vector<double> residual(const Columns& a, const std::vector<double>& b,
+                             const std::vector<double>& x) {
+  std::vector<double> r = b;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    for (std::size_t i = 0; i < b.size(); ++i) r[i] -= a[c][i] * x[c];
+  }
+  return r;
 }
 
 TEST(LinalgTest, SolvesExactSquareSystem) {
-  Matrix a(2, 2);
-  a(0, 0) = 2.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 1.0;
-  a(1, 1) = 3.0;
+  const Columns a{{2.0, 1.0}, {1.0, 3.0}};
   const std::vector<double> b{5.0, 10.0};
-  const auto result = least_squares(a, b);
-  EXPECT_FALSE(result.rank_deficient);
-  EXPECT_NEAR(result.solution[0], 1.0, 1e-12);
-  EXPECT_NEAR(result.solution[1], 3.0, 1e-12);
-  EXPECT_NEAR(result.residual_norm, 0.0, 1e-10);
+  RetainedQr qr = factor(a, b);
+  EXPECT_FALSE(qr.rank_deficient());
+  qr.solve();
+  EXPECT_NEAR(qr.solution()[0], 1.0, 1e-12);
+  EXPECT_NEAR(qr.solution()[1], 3.0, 1e-12);
+  for (double r : residual(a, b, qr.solution())) EXPECT_NEAR(r, 0.0, 1e-10);
 }
 
 TEST(LinalgTest, OverdeterminedRecoversPlantedCoefficients) {
   Rng rng(123);
   const std::vector<double> truth{3.5, -2.0, 0.75};
-  Matrix a(20, 3);
+  Columns a(3, std::vector<double>(20));
   std::vector<double> b(20);
   for (std::size_t r = 0; r < 20; ++r) {
     double acc = 0.0;
     for (std::size_t c = 0; c < 3; ++c) {
-      a(r, c) = rng.uniform(-5.0, 5.0);
-      acc += a(r, c) * truth[c];
+      a[c][r] = rng.uniform(-5.0, 5.0);
+      acc += a[c][r] * truth[c];
     }
     b[r] = acc;
   }
-  const auto result = least_squares(a, b);
+  RetainedQr qr = factor(a, b);
+  qr.solve();
   for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(result.solution[c], truth[c], 1e-10);
+    EXPECT_NEAR(qr.solution()[c], truth[c], 1e-10);
   }
 }
 
 TEST(LinalgTest, HandlesWildlyScaledColumns) {
   // Columns differing by 12 orders of magnitude (constant vs n^3 basis).
-  Rng rng(7);
-  Matrix a(10, 2);
+  Columns a(2, std::vector<double>(10));
   std::vector<double> b(10);
   for (std::size_t r = 0; r < 10; ++r) {
     const double x = 10.0 + static_cast<double>(r);
-    a(r, 0) = 1.0;
-    a(r, 1) = x * x * x * 1e9;
-    b[r] = 4.0 + 2.5e-9 * a(r, 1);
+    a[0][r] = 1.0;
+    a[1][r] = x * x * x * 1e9;
+    b[r] = 4.0 + 2.5e-9 * a[1][r];
   }
-  (void)rng;
-  const auto result = least_squares(a, b);
-  EXPECT_NEAR(result.solution[0], 4.0, 1e-6);
-  EXPECT_NEAR(result.solution[1], 2.5e-9, 1e-15);
+  RetainedQr qr = factor(a, b);
+  qr.solve();
+  EXPECT_NEAR(qr.solution()[0], 4.0, 1e-6);
+  EXPECT_NEAR(qr.solution()[1], 2.5e-9, 1e-15);
 }
 
 TEST(LinalgTest, DetectsCollinearColumns) {
-  Matrix a(5, 2);
+  // The third column lies in the span of the first two (not a multiple of
+  // either), so only the whole prefix can expose the dependence.
+  Columns a(3, std::vector<double>(5));
   for (std::size_t r = 0; r < 5; ++r) {
-    a(r, 0) = static_cast<double>(r + 1);
-    a(r, 1) = 2.0 * static_cast<double>(r + 1);  // exactly collinear
+    const double x = static_cast<double>(r + 1);
+    a[0][r] = 1.0;
+    a[1][r] = x * x;
+    a[2][r] = 3.0 - 0.5 * x * x;
   }
   const std::vector<double> b{1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto result = least_squares(a, b);
-  EXPECT_TRUE(result.rank_deficient);
+  RetainedQr qr(5, b);
+  qr.append_column(a[0]);
+  qr.append_column(a[1]);
+  EXPECT_FALSE(qr.rank_deficient());
+  qr.append_column(a[2]);
+  EXPECT_TRUE(qr.rank_deficient());
+  EXPECT_THROW(qr.solve(), exareq::InvalidArgument);
 }
 
 TEST(LinalgTest, DetectsZeroColumn) {
-  Matrix a(4, 2);
-  for (std::size_t r = 0; r < 4; ++r) {
-    a(r, 0) = static_cast<double>(r + 1);
-    a(r, 1) = 0.0;
-  }
+  // A zero column after a regular one (RetainedQrTest covers it first).
+  const Columns a{{1.0, 2.0, 3.0, 4.0}, {0.0, 0.0, 0.0, 0.0}};
   const std::vector<double> b{2.0, 4.0, 6.0, 8.0};
-  const auto result = least_squares(a, b);
-  EXPECT_TRUE(result.rank_deficient);
-  EXPECT_NEAR(result.solution[0], 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(result.solution[1], 0.0);
+  RetainedQr qr(4, b);
+  qr.append_column(a[0]);
+  EXPECT_FALSE(qr.rank_deficient());
+  qr.append_column(a[1]);
+  EXPECT_TRUE(qr.rank_deficient());
 }
 
 TEST(LinalgTest, RequiresEnoughRows) {
-  Matrix a(2, 3);
+  // Two rows take at most two independent columns; a third is rejected.
   const std::vector<double> b{1.0, 2.0};
-  EXPECT_THROW(least_squares(a, b), exareq::InvalidArgument);
+  RetainedQr qr(2, b);
+  qr.append_column(std::vector<double>{1.0, 0.0});
+  qr.append_column(std::vector<double>{0.0, 1.0});
+  EXPECT_THROW(qr.append_column(std::vector<double>{1.0, 1.0}),
+               exareq::InvalidArgument);
 }
 
 TEST(LinalgTest, ResidualNormOfInconsistentSystem) {
   // Fit a constant to {0, 2}: best value 1, residual sqrt(2).
-  Matrix a(2, 1);
-  a(0, 0) = 1.0;
-  a(1, 0) = 1.0;
+  const Columns a{{1.0, 1.0}};
   const std::vector<double> b{0.0, 2.0};
-  const auto result = least_squares(a, b);
-  EXPECT_NEAR(result.solution[0], 1.0, 1e-12);
-  EXPECT_NEAR(result.residual_norm, std::sqrt(2.0), 1e-12);
+  RetainedQr qr = factor(a, b);
+  qr.solve();
+  EXPECT_NEAR(qr.solution()[0], 1.0, 1e-12);
+  const std::vector<double> r = residual(a, b, qr.solution());
+  EXPECT_NEAR(std::hypot(r[0], r[1]), std::sqrt(2.0), 1e-12);
 }
 
-TEST(LinalgTest, WeightedLeastSquaresFavorsHeavyRows) {
-  // Two incompatible observations of a constant; all weight on the second.
-  Matrix a(2, 1);
-  a(0, 0) = 1.0;
-  a(1, 0) = 1.0;
-  const std::vector<double> b{0.0, 2.0};
-  const std::vector<double> w{0.0, 1.0};
-  const auto result = weighted_least_squares(a, b, w);
-  EXPECT_NEAR(result.solution[0], 2.0, 1e-12);
-}
-
-TEST(LinalgTest, WeightedLeastSquaresRejectsNegativeWeights) {
-  Matrix a(2, 1);
-  a(0, 0) = 1.0;
-  a(1, 0) = 1.0;
-  const std::vector<double> b{1.0, 1.0};
-  const std::vector<double> w{1.0, -1.0};
-  EXPECT_THROW(weighted_least_squares(a, b, w), exareq::InvalidArgument);
-}
-
-// --- RetainedQr: the batched fitter's incremental factorization --------
-
-std::vector<double> matrix_column(const Matrix& a, std::size_t c) {
-  std::vector<double> column(a.rows());
-  for (std::size_t r = 0; r < a.rows(); ++r) column[r] = a(r, c);
-  return column;
-}
+// --- RetainedQr: extension, downdates and argument checks ---------------
 
 TEST(RetainedQrTest, MatchesLeastSquaresOnOverdeterminedSystem) {
+  // For a full-rank A the least-squares solution is the only x with
+  // A^T (b - A x) = 0, so the normal equations are a complete reference.
   Rng rng(42);
   const std::vector<double> truth{1.25, -0.5, 6.0};
-  Matrix a(12, 3);
+  Columns a(3, std::vector<double>(12));
   std::vector<double> b(12);
   for (std::size_t r = 0; r < 12; ++r) {
     double acc = 0.0;
     for (std::size_t c = 0; c < 3; ++c) {
-      a(r, c) = rng.uniform(-4.0, 4.0);
-      acc += a(r, c) * truth[c];
+      a[c][r] = rng.uniform(-4.0, 4.0);
+      acc += a[c][r] * truth[c];
     }
     b[r] = acc + rng.uniform(-0.01, 0.01);  // keep it inconsistent
   }
-  const auto reference = least_squares(a, b);
-  RetainedQr qr(12, b);
-  for (std::size_t c = 0; c < 3; ++c) qr.append_column(matrix_column(a, c));
+  RetainedQr qr = factor(a, b);
   EXPECT_FALSE(qr.rank_deficient());
   qr.solve();
+  const std::vector<double> r = residual(a, b, qr.solution());
+  double residual_norm = 0.0;
+  for (double value : r) residual_norm += value * value;
+  EXPECT_GT(residual_norm, 1e-8);  // inconsistent, so the check has teeth
   for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(qr.solution()[c], reference.solution[c], 1e-12);
+    double normal = 0.0;
+    for (std::size_t i = 0; i < b.size(); ++i) normal += a[c][i] * r[i];
+    EXPECT_NEAR(normal, 0.0, 1e-10);
   }
 }
 
@@ -178,21 +165,20 @@ TEST(RetainedQrTest, ExtensionFromCopiedPrefixMatchesStandaloneBuild) {
   // per candidate; the copy-then-append path must be bit-identical to
   // appending every column into a fresh factorization.
   Rng rng(9);
-  Matrix a(10, 3);
+  Columns a(3, std::vector<double>(10));
   std::vector<double> b(10);
   for (std::size_t r = 0; r < 10; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) a(r, c) = rng.uniform(0.5, 8.0);
+    for (std::size_t c = 0; c < 3; ++c) a[c][r] = rng.uniform(0.5, 8.0);
     b[r] = rng.uniform(1.0, 100.0);
   }
-  RetainedQr fresh(10, b);
-  for (std::size_t c = 0; c < 3; ++c) fresh.append_column(matrix_column(a, c));
+  RetainedQr fresh = factor(a, b);
   fresh.solve();
 
   RetainedQr prefix(10, b);
-  prefix.append_column(matrix_column(a, 0));
-  prefix.append_column(matrix_column(a, 1));
+  prefix.append_column(a[0]);
+  prefix.append_column(a[1]);
   RetainedQr extended = prefix;
-  extended.append_column(matrix_column(a, 2));
+  extended.append_column(a[2]);
   extended.solve();
 
   ASSERT_EQ(extended.cols(), fresh.cols());
@@ -204,39 +190,36 @@ TEST(RetainedQrTest, ExtensionFromCopiedPrefixMatchesStandaloneBuild) {
 TEST(RetainedQrTest, LeaveOneOutMatchesExplicitSubsetRefit) {
   Rng rng(77);
   const std::size_t m = 9;
-  Matrix a(m, 2);
+  Columns a(2, std::vector<double>(m));
   std::vector<double> b(m);
   for (std::size_t r = 0; r < m; ++r) {
-    a(r, 0) = 1.0;
-    a(r, 1) = rng.uniform(1.0, 50.0);
-    b[r] = 3.0 + 0.5 * a(r, 1) + rng.uniform(-1.0, 1.0);
+    a[0][r] = 1.0;
+    a[1][r] = rng.uniform(1.0, 50.0);
+    b[r] = 3.0 + 0.5 * a[1][r] + rng.uniform(-1.0, 1.0);
   }
-  RetainedQr qr(m, b);
-  qr.append_column(matrix_column(a, 0));
-  qr.append_column(matrix_column(a, 1));
+  RetainedQr qr = factor(a, b);
   qr.solve();
   for (std::size_t left_out = 0; left_out < m; ++left_out) {
     std::vector<double> loo(2);
     double press = 0.0;
     ASSERT_TRUE(qr.leave_one_out(left_out, loo, &press));
-    // Explicit refit over the other m - 1 rows.
-    Matrix sub(m - 1, 2);
-    std::vector<double> sub_b(m - 1);
-    std::size_t i = 0;
+    // A fresh factorization of the other m - 1 rows.
+    Columns sub(2);
+    std::vector<double> sub_b;
     for (std::size_t r = 0; r < m; ++r) {
       if (r == left_out) continue;
-      sub(i, 0) = a(r, 0);
-      sub(i, 1) = a(r, 1);
-      sub_b[i] = b[r];
-      ++i;
+      sub[0].push_back(a[0][r]);
+      sub[1].push_back(a[1][r]);
+      sub_b.push_back(b[r]);
     }
-    const auto reference = least_squares(sub, sub_b);
-    EXPECT_NEAR(loo[0], reference.solution[0], 1e-9);
-    EXPECT_NEAR(loo[1], reference.solution[1], 1e-9);
+    RetainedQr reference = factor(sub, sub_b);
+    reference.solve();
+    EXPECT_NEAR(loo[0], reference.solution()[0], 1e-9);
+    EXPECT_NEAR(loo[1], reference.solution()[1], 1e-9);
     // The PRESS residual is the left-out row's prediction error under the
     // subset fit.
-    const double predicted = reference.solution[0] * a(left_out, 0) +
-                             reference.solution[1] * a(left_out, 1);
+    const double predicted = reference.solution()[0] * a[0][left_out] +
+                             reference.solution()[1] * a[1][left_out];
     EXPECT_NEAR(press, b[left_out] - predicted, 1e-9);
   }
 }
@@ -263,15 +246,9 @@ TEST(RetainedQrTest, DetectsZeroColumn) {
 TEST(RetainedQrTest, LeverageOneRowReportsSingularDowndate) {
   // Row 3 is the only row with a nonzero second coordinate: removing it
   // collapses the rank, so its leverage is 1 and the downdate must refuse.
-  std::vector<double> b{1.0, 1.1, 0.9, 7.0};
-  Matrix a(4, 2);
-  for (std::size_t r = 0; r < 4; ++r) {
-    a(r, 0) = 1.0;
-    a(r, 1) = (r == 3) ? 1.0 : 0.0;
-  }
-  RetainedQr qr(4, b);
-  qr.append_column(matrix_column(a, 0));
-  qr.append_column(matrix_column(a, 1));
+  const std::vector<double> b{1.0, 1.1, 0.9, 7.0};
+  const Columns a{{1.0, 1.0, 1.0, 1.0}, {0.0, 0.0, 0.0, 1.0}};
+  RetainedQr qr = factor(a, b);
   ASSERT_FALSE(qr.rank_deficient());
   qr.solve();
   std::vector<double> loo(2);

@@ -15,6 +15,7 @@
 #include "../serve/serve_test_util.hpp"
 #include "online/refitter.hpp"
 #include "serve/protocol.hpp"
+#include "serve/query_engine.hpp"
 #include "serve/sharded_server.hpp"
 #include "support/error.hpp"
 
@@ -303,6 +304,110 @@ TEST(OnlineServiceTest, IngestWithoutHooksIsRejectedByServer) {
   EXPECT_EQ(accepted.rfind("ok ingest accepted=1", 0), 0u) << accepted;
   EXPECT_EQ(service.stats().rows_ingested, 1u);
   // Shard threads call the service's hooks, so the server stops first.
+  server.stop();
+}
+
+TEST(OnlineServiceTest, CachedAnswersAfterARefitMatchAnUncachedEngine) {
+  // The result cache holds answers of version 1 when a refit publishes
+  // version 2. After the drain every answer must be version 2's: the same
+  // request on a fresh engine without a cache.
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 2});
+  const std::size_t owner = server.shard_of("Kripke");
+  serve::ModelRegistry& registry = server.registry(owner);
+  server.insert(serve::testing::make_test_requirements("Kripke"));
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 3;
+  // The refit doubles the flops and footprint models, so every answer that
+  // reads them changes.
+  const auto fit = [](const pipeline::CampaignData& data) {
+    using model::Model;
+    using model::Term;
+    pipeline::FittedBundle bundle;
+    bundle.requirements = serve::testing::make_test_requirements(data.app_name);
+    bundle.requirements.flops =
+        Model({"p", "n"}, 200.0, {Term{8.0, {model::pmnf_factor(1, 2.0, 0.0)}}});
+    bundle.requirements.footprint = Model(
+        {"p", "n"}, 2048.0, {Term{16.0, {model::pmnf_factor(1, 1.0, 0.0)}}});
+    bundle.mean_abs_relative_error = 0.1;
+    return bundle;
+  };
+  OnlineService service(registry, options, fit);
+  server.set_online_hooks(owner, service.hooks());
+
+  const std::vector<std::string> queries = {
+      "eval Kripke flops 64 1024", "eval kripke footprint 8 256",
+      "invert Kripke 65536 2e9", "upgrade Kripke 65536 2e9",
+      "strawman Kripke"};
+  std::vector<std::string> before;
+  for (const std::string& query : queries) {
+    before.push_back(server.handle_line(query));
+    ASSERT_EQ(server.handle_line(query), before.back()) << query;  // cached
+  }
+  ASSERT_EQ(server.handle_line(ingest_line("Kripke", 3)).rfind("ok ingest", 0),
+            0u);
+  service.drain();
+  ASSERT_EQ(registry.version_of("Kripke")->version, 2u);
+
+  serve::QueryEngine uncached(registry);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::string answer = server.handle_line(queries[i]);
+    EXPECT_EQ(answer, uncached.answer_line(queries[i])) << queries[i];
+    if (i < 2) {
+      EXPECT_NE(answer, before[i]) << queries[i];
+    }
+  }
+  server.stop();
+}
+
+TEST(OnlineServiceTest, StatusAfterIngestInOneBatchCountsItsRows) {
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 3});
+  const std::size_t owner = server.shard_of("TestApp");
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 100;  // no refit: only the counters move
+  ScriptedFitter fitter;
+  OnlineService service(server.registry(owner), options, fitter.fn());
+  server.set_online_hooks(owner, service.hooks());
+
+  const std::vector<std::string> responses = server.submit_batch(
+      {serve::parse_request(ingest_line("TestApp", 25)),
+       serve::parse_request("status")});
+  EXPECT_EQ(responses[0].rfind("ok ingest accepted=25", 0), 0u)
+      << responses[0];
+  EXPECT_EQ(responses[1].rfind("ok status requests=2 ok=2 ", 0), 0u)
+      << responses[1];
+  EXPECT_NE(responses[1].find(" online_rows=25 "), std::string::npos)
+      << responses[1];
+  server.stop();
+}
+
+TEST(OnlineServiceTest, RefitKeepsTheRegisteredName) {
+  // Rows ingested as "kripke" refit the bundle registered as "Kripke"; an
+  // app the registry does not hold yet takes its first ingest's spelling.
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 1});
+  serve::ModelRegistry& registry = server.registry(0);
+  server.insert(serve::testing::make_test_requirements("Kripke"));
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 3;
+  ScriptedFitter fitter;
+  OnlineService service(registry, options, fitter.fn());
+  server.set_online_hooks(0, service.hooks());
+
+  ASSERT_EQ(server.handle_line(ingest_line("kripke", 3)).rfind("ok ", 0), 0u);
+  ASSERT_EQ(server.handle_line(ingest_line("NewApp", 3)).rfind("ok ", 0), 0u);
+  ASSERT_EQ(server.handle_line(ingest_line("NEWAPP", 3, 64)).rfind("ok ", 0),
+            0u);
+  service.drain();
+
+  const auto kripke = registry.version_of("kripke");
+  ASSERT_NE(kripke, nullptr);
+  EXPECT_EQ(kripke->version, 2u);
+  EXPECT_EQ(kripke->source, VersionSource::kOnlineRefit);
+  EXPECT_EQ(kripke->models->name, "Kripke");
+  const auto fresh = registry.version_of("newapp");
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->models->name, "NewApp");
+  EXPECT_EQ(registry.app_names(),
+            (std::vector<std::string>{"Kripke", "NewApp"}));
   server.stop();
 }
 
