@@ -78,6 +78,38 @@ struct Flags {
   }
 };
 
+/// The flags each command reads. Every command except `list` also accepts
+/// --trace and --metrics; any other flag is an error, not silently ignored.
+/// `serve` reads the campaign grid flags for its fit-on-demand campaigns
+/// but not --threads (the fitter runs them on one thread) or --checkpoint
+/// and --resume (one checkpoint directory cannot hold several apps).
+const std::set<std::string>* command_flags(const std::string& command) {
+  static const std::map<std::string, std::set<std::string>> table = [] {
+    const std::set<std::string> campaign = {
+        "in", "processes", "sizes", "threads", "sampling", "checkpoint",
+        "resume"};
+    const auto campaign_and = [&campaign](std::set<std::string> extra) {
+      extra.insert(campaign.begin(), campaign.end());
+      return extra;
+    };
+    return std::map<std::string, std::set<std::string>>{
+        {"measure", campaign_and({"out"})},
+        {"model", campaign_and({"models-out"})},
+        {"upgrade", campaign_and({"base-processes", "base-memory"})},
+        {"strawman", campaign},
+        {"locality", {"size", "sampling"}},
+        {"serve",
+         {"processes", "sizes", "sampling", "models", "requests", "socket",
+          "tcp", "workers", "queue", "deadline-ms", "cache", "max-frame",
+          "max-binary-frame", "refit-rows", "refit-staleness-ms",
+          "max-pending", "max-regression", "status"}},
+        {"query", {"socket", "tcp", "host", "request", "requests", "binary"}},
+    };
+  }();
+  const auto it = table.find(command);
+  return it == table.end() ? nullptr : &it->second;
+}
+
 /// Flags that take no value (an optional one may still follow via --flag=v).
 const std::set<std::string>& boolean_flags() {
   static const std::set<std::string> flags = {"status", "metrics", "binary",
@@ -283,7 +315,7 @@ int cmd_strawman(const apps::Application& app, const Flags& flags,
 
 int cmd_locality(const apps::Application& app, const Flags& flags,
                  std::ostream& out) {
-  const auto n = static_cast<std::int64_t>(flags.number("size", 256.0));
+  const std::int64_t n = flags.integer("size", 256);
   exareq::require(n >= 1, "--size must be >= 1");
   memtrace::LocalityConfig config;
   config.sampler = memtrace::SamplerConfig{64, 512, 0};
@@ -573,6 +605,7 @@ std::string usage() {
          "           [--cache N] [--max-frame B] [--max-binary-frame B]\n"
          "           [--refit-rows N] [--refit-staleness-ms D] [--max-pending N]\n"
          "           [--max-regression X] [--status]\n"
+         "           [--processes L] [--sizes L] [--sampling PRESET]\n"
          "  query   (--socket PATH | --tcp PORT [--host H])\n"
          "           (--request 'eval LULESH flops 64 1024' | --requests FILE)\n"
          "           [--binary]\n"
@@ -585,6 +618,7 @@ std::string usage() {
          "                   file (load in chrome://tracing or Perfetto)\n"
          "  --metrics[=json] print the metric registry after the command\n"
          "                   (text by default). See docs/OBSERVABILITY.md.\n"
+         "A flag the command does not read is an error.\n"
          "Lists are comma-separated integers, e.g. --processes 4,8,16,32,64;\n"
          "they are sorted, deduplicated, and need >= 2 distinct values.\n"
          "`measure --checkpoint DIR` appends every completed grid point to a\n"
@@ -600,10 +634,12 @@ std::string usage() {
          "bit-identical at any thread count).\n"
          "`serve` answers eval/invert/upgrade/strawman/status queries from\n"
          "model bundles (--models, written by `model --models-out`) or by\n"
-         "fitting on demand. Applications are hash-partitioned across\n"
-         "--workers shards (0 = hardware concurrency), each owning its own\n"
-         "registry, cache, and online refit loop. --requests FILE serves the\n"
-         "file as one batch; --socket and/or --tcp start listeners speaking\n"
+         "fitting on demand (a campaign over --processes/--sizes/--sampling\n"
+         "on one thread, without a checkpoint). Applications are\n"
+         "hash-partitioned across --workers shards (0 = hardware\n"
+         "concurrency), each owning its own registry, cache, and online\n"
+         "refit loop. --requests FILE serves the file as one batch;\n"
+         "--socket and/or --tcp start listeners speaking\n"
          "both the line text protocol and the batched binary wire format\n"
          "(auto-detected per connection; --max-frame / --max-binary-frame\n"
          "bound a request line / binary frame); --status prints the metrics\n"
@@ -650,21 +686,27 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       return args.empty() ? 1 : 0;
     }
     const std::string& command = args[0];
-    if (command == "list") return cmd_list(out);
+    if (command == "list") {
+      exareq::require(args.size() == 1, "command 'list' takes no arguments");
+      return cmd_list(out);
+    }
 
+    const std::set<std::string>* accepted = command_flags(command);
+    exareq::require(accepted != nullptr, "unknown command '" + command + "'");
     const apps::Application* app = nullptr;
     std::size_t flag_start = 1;
     if (command != "serve" && command != "query") {
-      const bool known = command == "measure" || command == "model" ||
-                         command == "upgrade" || command == "strawman" ||
-                         command == "locality";
-      exareq::require(known, "unknown command '" + command + "'");
       exareq::require(args.size() >= 2,
                       "command '" + command + "' needs an app name");
       app = &apps::application(apps::app_id_from_name(args[1]));
       flag_start = 2;
     }
     const Flags flags = parse_flags(args, flag_start);
+    for (const auto& [name, value] : flags.values) {
+      exareq::require(
+          accepted->count(name) != 0 || name == "trace" || name == "metrics",
+          "command '" + command + "' does not accept --" + name);
+    }
 
     // --trace validates the output path up front (a campaign should not run
     // for an hour only to fail writing the trace) and records until the

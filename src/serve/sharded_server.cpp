@@ -31,6 +31,28 @@ std::string online_status_fields(const online::OnlineStats& stats) {
   return os.str();
 }
 
+/// Adds one shard's cache and registry counters to `snapshot`.
+void add_cache_and_registry(const ShardedLruCache& cache,
+                            const ModelRegistry& registry,
+                            MetricsSnapshot& snapshot) {
+  const CacheStats cache_stats = cache.stats();
+  snapshot.cache_hits += cache_stats.hits;
+  snapshot.cache_misses += cache_stats.misses;
+  snapshot.cache_evictions += cache_stats.evictions;
+  snapshot.cache_entries += cache_stats.entries;
+  const RegistryStats registry_stats = registry.stats();
+  snapshot.registry_lookups += registry_stats.lookups;
+  snapshot.registry_hits += registry_stats.hits;
+  snapshot.fits_started += registry_stats.fits_started;
+  snapshot.fits_completed += registry_stats.fits_completed;
+  snapshot.fit_failures += registry_stats.fit_failures;
+  snapshot.singleflight_waits += registry_stats.singleflight_waits;
+  snapshot.in_flight_fits += registry_stats.in_flight_fits;
+  snapshot.files_loaded += registry_stats.files_loaded;
+  snapshot.apps_loaded += registry_stats.apps;
+  snapshot.hot_swaps += registry_stats.hot_swaps;
+}
+
 /// The online table of the `--status` report.
 std::string online_status_table(const online::OnlineStats& stats) {
   TextTable table({"Layer", "Counter", "Value"});
@@ -316,23 +338,7 @@ MetricsSnapshot ShardedServer::metrics() const {
     total.sheds += s.sheds;
     total.deadline_drops += s.deadline_drops;
     merged.merge_from(shard->metrics.latency);
-
-    const CacheStats cache = shard->cache->stats();
-    total.cache_hits += cache.hits;
-    total.cache_misses += cache.misses;
-    total.cache_evictions += cache.evictions;
-    total.cache_entries += cache.entries;
-    const RegistryStats registry = shard->registry->stats();
-    total.registry_lookups += registry.lookups;
-    total.registry_hits += registry.hits;
-    total.fits_started += registry.fits_started;
-    total.fits_completed += registry.fits_completed;
-    total.fit_failures += registry.fit_failures;
-    total.singleflight_waits += registry.singleflight_waits;
-    total.in_flight_fits += registry.in_flight_fits;
-    total.files_loaded += registry.files_loaded;
-    total.apps_loaded += registry.apps;
-    total.hot_swaps += registry.hot_swaps;
+    add_cache_and_registry(*shard->cache, *shard->registry, total);
   }
   merged.merge_from(front_metrics_.latency);
   total.p50_latency_us = merged.quantile_us(0.50);
@@ -354,22 +360,7 @@ std::vector<ShardStatus> ShardedServer::shard_statuses() const {
       status.queue_depth = shard.queue.size();
     }
     shard.metrics.merge_into(status.metrics);
-    const CacheStats cache = shard.cache->stats();
-    status.metrics.cache_hits = cache.hits;
-    status.metrics.cache_misses = cache.misses;
-    status.metrics.cache_evictions = cache.evictions;
-    status.metrics.cache_entries = cache.entries;
-    const RegistryStats registry = shard.registry->stats();
-    status.metrics.registry_lookups = registry.lookups;
-    status.metrics.registry_hits = registry.hits;
-    status.metrics.fits_started = registry.fits_started;
-    status.metrics.fits_completed = registry.fits_completed;
-    status.metrics.fit_failures = registry.fit_failures;
-    status.metrics.singleflight_waits = registry.singleflight_waits;
-    status.metrics.in_flight_fits = registry.in_flight_fits;
-    status.metrics.files_loaded = registry.files_loaded;
-    status.metrics.apps_loaded = registry.apps;
-    status.metrics.hot_swaps = registry.hot_swaps;
+    add_cache_and_registry(*shard.cache, *shard.registry, status.metrics);
     statuses.push_back(std::move(status));
   }
   return statuses;

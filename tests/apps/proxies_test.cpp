@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/application.hpp"
-#include "memtrace/compressed_trace.hpp"
 #include "pipeline/measure.hpp"
 #include "support/error.hpp"
 
@@ -77,36 +76,6 @@ TEST_P(ProxyTest, LocalityTraceHasRegisteredGroups) {
   const memtrace::AccessTrace trace = app.locality_trace(128);
   EXPECT_GE(trace.group_count(), 2u);
   EXPECT_GT(trace.size(), 1000u);
-}
-
-TEST_P(ProxyTest, CompressedTraceRoundTripsLocalityTrace) {
-  // The compact checkpoint storage path: tracing into a CompressedTrace and
-  // replaying must reproduce the exact access stream the materializing
-  // AccessTrace records, for every proxy's real access pattern.
-  const Application& app = application(GetParam());
-  memtrace::AccessTrace reference;
-  app.trace_locality(128, reference);
-  memtrace::CompressedTrace compressed;
-  app.trace_locality(128, compressed);
-  ASSERT_EQ(compressed.size(), reference.size());
-
-  memtrace::AccessTrace replayed;
-  compressed.replay(replayed);
-  ASSERT_EQ(replayed.size(), reference.size());
-  ASSERT_EQ(replayed.group_count(), reference.group_count());
-  for (memtrace::GroupId g = 0; g < reference.group_count(); ++g) {
-    EXPECT_EQ(replayed.group_name(g), reference.group_name(g));
-  }
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    ASSERT_EQ(replayed.accesses()[i].address, reference.accesses()[i].address)
-        << "access " << i;
-    ASSERT_EQ(replayed.accesses()[i].group, reference.accesses()[i].group)
-        << "access " << i;
-  }
-  // The encoding must actually compress real proxy traces (>= 2x is the
-  // checkpointed-sweep acceptance bar; strides typically do much better).
-  EXPECT_LT(compressed.compressed_bytes() * 2,
-            reference.size() * sizeof(memtrace::Access));
 }
 
 TEST_P(ProxyTest, MetadataIsPresent) {

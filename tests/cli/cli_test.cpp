@@ -212,6 +212,34 @@ TEST(CliTest, LocalityReportsGroups) {
             std::string::npos);
 }
 
+TEST(CliTest, LocalityRejectsFlagsItDoesNotRead) {
+  // An unknown flag, and one another command reads, are errors rather than
+  // silently ignored.
+  for (const char* flag : {"--bogus-flag", "--threads"}) {
+    const CliRun result =
+        run({"locality", "lulesh", "--size", "64", flag, "7"});
+    EXPECT_EQ(result.exit_code, 1) << flag;
+    EXPECT_NE(result.err.find(std::string("does not accept ") + flag),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out, "") << flag;
+  }
+}
+
+TEST(CliTest, LocalitySizeIsParsedAsAnInteger) {
+  // "64.9" must not run n = 64, and "1e30" must not wrap through an
+  // out-of-range double-to-integer cast.
+  for (const char* bad : {"64.9", "1e30", "99999999999999999999"}) {
+    const CliRun result = run({"locality", "lulesh", "--size", bad});
+    EXPECT_EQ(result.exit_code, 1) << bad;
+    EXPECT_NE(result.err.find("--size expects an integer"), std::string::npos)
+        << result.err;
+  }
+  const CliRun zero = run({"locality", "lulesh", "--size", "0"});
+  EXPECT_EQ(zero.exit_code, 1);
+  EXPECT_NE(zero.err.find("--size must be >= 1"), std::string::npos);
+}
+
 TEST(CliTest, MissingInputFileFails) {
   const CliRun result = run({"model", "Kripke", "--in", "/nonexistent.csv"});
   EXPECT_EQ(result.exit_code, 1);
@@ -373,6 +401,55 @@ TEST(CliTest, ServeAnswersRequestsFileAsOneShardedBatch) {
       << result.err;
   std::remove(lulesh.c_str());
   std::remove(hpcg.c_str());
+  std::remove(requests.c_str());
+}
+
+TEST(CliTest, ServeRejectsThreadsCheckpointAndResume) {
+  // Each shard fits its apps on demand. One checkpoint directory cannot
+  // hold several apps' campaigns (two shards once raced on its manifest),
+  // and the fitter runs every campaign on one thread, so serve refuses
+  // these three campaign flags up front and serves nothing.
+  const std::string requests = "/tmp/exareq_cli_serve_flags_" +
+                               std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream file(requests);
+    file << "eval lulesh flops 64 1024\n"
+         << "eval kripke flops 64 1024\n";
+  }
+  const std::string dir = ::testing::TempDir() + "exareq_cli_serve_ckpt_" +
+                          std::to_string(::getpid());
+  const std::vector<std::vector<std::string>> refused = {
+      {"--checkpoint", dir},
+      {"--threads", "2"},
+      {"--checkpoint", dir, "--resume"}};
+  for (const std::vector<std::string>& extra : refused) {
+    std::vector<std::string> args = with_grid(
+        {"serve", "--requests", requests, "--workers", "2"});
+    args.insert(args.end(), extra.begin(), extra.end());
+    const CliRun result = run(args);
+    EXPECT_EQ(result.exit_code, 1) << extra[0];
+    EXPECT_NE(result.err.find("does not accept " + extra[0]),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out, "") << extra[0];
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  std::filesystem::remove_all(dir);
+
+  // The grid flags of the fit-on-demand campaigns are accepted.
+  const CliRun served =
+      run({"serve", "--requests", requests, "--workers", "2", "--processes",
+           "2,4,8,16,32", "--sizes", "16,32,64,128,256", "--sampling",
+           "sparse"});
+  EXPECT_EQ(served.exit_code, 0) << served.err;
+  std::istringstream lines(served.out);
+  std::string line;
+  int answered = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(line.rfind("ok eval ", 0), 0u) << line;
+    ++answered;
+  }
+  EXPECT_EQ(answered, 2);
   std::remove(requests.c_str());
 }
 

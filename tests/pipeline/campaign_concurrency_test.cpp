@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 
 #include "apps/application.hpp"
 #include "memtrace/locality.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/campaign.hpp"
 #include "pipeline/measure.hpp"
 #include "support/error.hpp"
@@ -77,6 +79,38 @@ TEST(CampaignParallelTest, StackDistanceSharedPerProblemSize) {
         EXPECT_EQ(m.stack_distance, other.stack_distance);
       }
     }
+  }
+}
+
+TEST(CampaignParallelTest,
+     EveryAppCsvIdenticalAcrossThreadsCheckpointAndResume) {
+  // The persisted campaign of every bundled application is the same bytes
+  // whether it ran on one thread or two, wrote a fresh checkpoint, or was
+  // resumed from a checkpoint that already holds every grid point.
+  auto& resumed_points = obs::MetricRegistry::instance().counter(
+      "campaign.checkpoint.points_resumed");
+  for (const apps::AppId id : apps::all_app_ids()) {
+    const apps::Application& app = apps::application(id);
+    CampaignConfig config;
+    config.process_counts = {2, 4};
+    config.problem_sizes = {32, 64};
+    const auto csv = [&](std::size_t threads) {
+      config.threads = threads;
+      return run_campaign(app, config).to_csv().to_string();
+    };
+    const std::string serial = csv(1);
+    EXPECT_EQ(csv(2), serial) << app.name() << ": threads 2";
+
+    const std::string dir =
+        ::testing::TempDir() + "exareq_campaign_every_app_" + app.name();
+    std::filesystem::remove_all(dir);
+    config.checkpoint.directory = dir;
+    EXPECT_EQ(csv(1), serial) << app.name() << ": fresh checkpoint";
+    config.checkpoint.resume = true;
+    const std::uint64_t before = resumed_points.value();
+    EXPECT_EQ(csv(1), serial) << app.name() << ": zero-remaining resume";
+    EXPECT_EQ(resumed_points.value() - before, 4u) << app.name();
+    std::filesystem::remove_all(dir);
   }
 }
 

@@ -6,9 +6,8 @@
 // and kills may cost re-measured work, never bytes of the final artifact.
 //
 // The companion fuzz suite mutates the on-disk formats themselves: the
-// manifest parser and the trace container must accept or throw
-// exareq::Error, and the record scanner must never throw at all — damage
-// only shortens its result.
+// manifest parser must accept or throw exareq::Error, and the record
+// scanner must never throw at all — damage only shortens its result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "apps/application.hpp"
-#include "memtrace/compressed_trace.hpp"
 #include "pipeline/campaign.hpp"
 #include "support/error.hpp"
 #include "testkit/domain_gen.hpp"
@@ -301,43 +299,6 @@ TEST(PropertyFuzzCheckpointTest, RecordScanNeverThrowsOrInventsPoints) {
   EXPECT_TRUE(outcome.passed()) << outcome.summary();
   // Mutations must actually reach the damage paths (dropped tails).
   EXPECT_GT(outcome.accepted, 0u);
-}
-
-std::vector<std::string> trace_corpus() {
-  std::vector<std::string> corpus;
-  memtrace::CompressedTrace strided;
-  const auto a = strided.register_group("A");
-  const auto b = strided.register_group("B");
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    strided.record(0x1000 + 8 * i, a);
-    strided.record(0x90000 + 16 * (i % 13), b);
-  }
-  corpus.push_back(strided.serialize());
-  memtrace::CompressedTrace empty;
-  corpus.push_back(empty.serialize());
-  memtrace::CompressedTrace wild;
-  const auto g = wild.register_group("g");
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    wild.record(i * 0x123456789ULL, g);
-  }
-  corpus.push_back(wild.serialize());
-  return corpus;
-}
-
-TEST(PropertyFuzzCheckpointTest, CompressedTraceParseOrCleanError) {
-  const auto outcome = fuzz_strings(
-      fuzz_config(), mutated(trace_corpus()), [](const std::string& input) {
-        const memtrace::CompressedTrace trace =
-            memtrace::CompressedTrace::deserialize(input);
-        // Everything that parses must replay without tripping the sink.
-        memtrace::AccessTrace replayed;
-        trace.replay(replayed);
-        if (replayed.size() != trace.size()) {
-          throw std::logic_error("replayed access count diverges");
-        }
-      });
-  EXPECT_TRUE(outcome.passed()) << outcome.summary();
-  EXPECT_GT(outcome.rejected, 0u);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/binary_protocol.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query_engine.hpp"
@@ -86,6 +88,57 @@ TEST(ShardedFrontEndTest, BinaryBatchOverUnixSocketMatchesInProcess) {
       exareq::serve::query_batch_over_socket(front.options().unix_path, batch);
   const std::vector<std::string> in_process = server.submit_batch(batch);
   EXPECT_EQ(over_wire, in_process);
+}
+
+TEST(ShardedFrontEndTest, BatchedFramesReachTheShardsAsFewBatches) {
+  // 2,048 warm evals over one Unix-socket connection. A 64-request binary
+  // frame is one submit_batch, queued as at most one batch per shard, so
+  // its 32 frames raise serve.shard.batches by at most 32 x shards; single-
+  // request frames raise it once per request. The shard hand-offs a frame
+  // saves are what batching amortizes.
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kRequests = 2048;
+  auto& published =
+      exareq::obs::MetricRegistry::instance().counter("serve.shard.batches");
+  const auto shard_batches = [&](std::size_t frame_size) {
+    const std::uint64_t before = published.value();
+    ShardedServer server(ShardedServerOptions{.shards = kShards});
+    load_apps(server);
+    FrontEnd front(server,
+                   FrontEndOptions{.unix_path = unique_socket_path(
+                                       "frames" + std::to_string(frame_size))});
+    front.start();
+    // 64 distinct eval points, warmed in one in-process batch: one shard
+    // batch per shard they touch.
+    std::vector<Request> points;
+    std::set<std::size_t> owners;
+    for (std::size_t v = 0; v < 64; ++v) {
+      points.push_back(eval_request(kApps[v % std::size(kApps)],
+                                    static_cast<double>(16 << (v / 16)),
+                                    static_cast<double>(256 + v)));
+      owners.insert(server.shard_of(points.back().app));
+    }
+    EXPECT_EQ(owners.size(), kShards);
+    (void)server.submit_batch(points);
+    const std::uint64_t warm_hits = server.metrics().cache_hits;
+
+    Client client = Client::connect_unix(front.options().unix_path);
+    for (std::size_t sent = 0; sent < kRequests; sent += frame_size) {
+      std::vector<Request> frame;
+      for (std::size_t i = sent; i < sent + frame_size; ++i) {
+        frame.push_back(points[i % points.size()]);
+      }
+      for (const std::string& line : client.query_batch(frame)) {
+        EXPECT_EQ(line.rfind("ok eval ", 0), 0u) << line;
+      }
+    }
+    EXPECT_EQ(server.metrics().cache_hits - warm_hits, kRequests);
+    front.stop();
+    server.stop();  // publishes serve.shard.batches
+    return published.value() - before - owners.size();
+  };
+  EXPECT_LE(shard_batches(64), kRequests / 64 * kShards);
+  EXPECT_EQ(shard_batches(1), kRequests);
 }
 
 TEST(ShardedFrontEndTest, TcpServesBothProtocols) {

@@ -306,6 +306,73 @@ TEST(ShardedServerTest, PerShardCachesCountHitsLocally) {
   EXPECT_EQ(server.metrics().cache_hits, 1u);
 }
 
+TEST(ShardedServerTest, SecondShardAddsCacheCapacityAndHits) {
+  // Each shard owns a cache of cache_capacity entries, so the aggregate
+  // cache grows with the shard count. A uniform stream hits an LRU cache
+  // about capacity / working set of the time, so on a working set four
+  // times one shard's cache a 2-shard server answers nearly twice as many
+  // requests of the same stream from cache as a 1-shard server; one cache
+  // of the same total size split across the shards would answer about as
+  // many.
+  const auto stream_cache_hits = [](std::size_t shards) {
+    ShardedServerOptions options = options_with(shards);
+    options.cache_capacity = 64;
+    ShardedServer server(options);
+    // 16 names spread over the shards (one app would land on one shard).
+    std::vector<std::string> apps;
+    for (int i = 0; i < 16; ++i) {
+      apps.push_back("shardapp" + std::to_string(i));
+      server.insert(make_test_requirements(apps.back()));
+    }
+    for (const auto& status : server.shard_statuses()) {
+      EXPECT_FALSE(status.apps.empty()) << "shard " << status.shard;
+    }
+    // 256 distinct invert/upgrade requests.
+    std::vector<Request> working_set;
+    for (std::size_t v = 0; v < 256; ++v) {
+      Request request;
+      request.app = apps[v % apps.size()];
+      const double scale = static_cast<double>(v);
+      if (v % 2 == 0) {
+        request.kind = RequestKind::kInvert;
+        request.processes = 1024.0 + 64.0 * scale;
+        request.memory_per_process = 1.0e9 + 7.0e6 * scale;
+      } else {
+        request.kind = RequestKind::kUpgrade;
+        request.processes = 2048.0 + 128.0 * scale;
+        request.memory_per_process = 2.0e9 + 1.1e7 * scale;
+      }
+      working_set.push_back(std::move(request));
+    }
+    const auto submit = [&server](const std::vector<Request>& batch) {
+      for (const std::string& response : server.submit_batch(batch)) {
+        EXPECT_EQ(response.rfind("ok ", 0), 0u) << response;
+      }
+    };
+    // Warm-up pass, then one seeded uniform 4,096-request stream in
+    // 64-request batches.
+    for (std::size_t start = 0; start < working_set.size(); start += 64) {
+      submit({working_set.begin() + static_cast<std::ptrdiff_t>(start),
+              working_set.begin() + static_cast<std::ptrdiff_t>(start + 64)});
+    }
+    const std::uint64_t warm_hits = server.metrics().cache_hits;
+    std::uint64_t state = 0x9E3779B97F4A7C15ull;
+    for (int b = 0; b < 4096 / 64; ++b) {
+      std::vector<Request> batch;
+      for (int i = 0; i < 64; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        batch.push_back(working_set[(state >> 33) % working_set.size()]);
+      }
+      submit(batch);
+    }
+    return server.metrics().cache_hits - warm_hits;
+  };
+  const std::uint64_t one_shard = stream_cache_hits(1);
+  const std::uint64_t two_shards = stream_cache_hits(2);
+  EXPECT_GT(two_shards, one_shard + one_shard / 2)
+      << "1 shard: " << one_shard << " hits, 2 shards: " << two_shards;
+}
+
 TEST(ShardedServerTest, MixedBatchAnswersEachRecordIndependently) {
   ShardedServer server(options_with(2));
   load_apps(server);
