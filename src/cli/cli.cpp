@@ -192,17 +192,39 @@ model::GeneratorOptions generator_options(const Flags& flags) {
   return options;
 }
 
-/// Loads a campaign from --in or measures one on the fly.
-pipeline::CampaignData obtain_campaign(const apps::Application& app,
-                                       const Flags& flags, std::ostream& err) {
+/// Checks that a campaign grid can be fitted before any of it is measured:
+/// the model generator needs `min_distinct` distinct values per axis
+/// (GeneratorOptions::min_distinct_values), while parse_int_list, and so
+/// `measure`, accept two. Grid lists are deduplicated, so their sizes are
+/// the distinct counts.
+void require_fittable_grid(const pipeline::CampaignConfig& config,
+                           std::size_t min_distinct) {
+  const auto check = [min_distinct](const char* axis, std::size_t distinct) {
+    exareq::require(distinct >= min_distinct,
+                    std::string("grid axis ") + axis + " has " +
+                        std::to_string(distinct) +
+                        " distinct values; fitting a model needs at least " +
+                        std::to_string(min_distinct) + " per axis");
+  };
+  check("p (--processes)", config.process_counts.size());
+  check("n (--sizes)", config.problem_sizes.size());
+}
+
+/// Loads a campaign from --in or measures one on the fly; a campaign
+/// measured for fitting with `fit` must pass require_fittable_grid first.
+pipeline::CampaignData obtain_campaign(
+    const apps::Application& app, const Flags& flags, std::ostream& err,
+    const model::GeneratorOptions* fit = nullptr) {
   if (const auto path = flags.get("in")) {
     std::ifstream file(*path);
     exareq::require(file.good(), "cannot open campaign file '" + *path + "'");
     return pipeline::CampaignData::from_csv(exareq::CsvDocument::parse(file),
                                             app.name());
   }
+  const pipeline::CampaignConfig config = campaign_config(flags);
+  if (fit != nullptr) require_fittable_grid(config, fit->min_distinct_values);
   err << "[measuring " << app.name() << " ...]\n";
-  return pipeline::run_campaign(app, campaign_config(flags));
+  return pipeline::run_campaign(app, config);
 }
 
 int cmd_list(std::ostream& out) {
@@ -238,7 +260,8 @@ int cmd_model(const apps::Application& app, const Flags& flags,
               std::ostream& out, std::ostream& err) {
   // Validate flags before the (possibly expensive) campaign step.
   const model::GeneratorOptions options = generator_options(flags);
-  const pipeline::CampaignData data = obtain_campaign(app, flags, err);
+  const pipeline::CampaignData data =
+      obtain_campaign(app, flags, err, &options);
   const pipeline::RequirementModels models =
       pipeline::model_requirements(data, options);
   out << "Requirement models for " << app.name() << ":\n";
@@ -257,7 +280,8 @@ int cmd_model(const apps::Application& app, const Flags& flags,
 int cmd_upgrade(const apps::Application& app, const Flags& flags,
                 std::ostream& out, std::ostream& err) {
   const model::GeneratorOptions options = generator_options(flags);
-  const pipeline::CampaignData data = obtain_campaign(app, flags, err);
+  const pipeline::CampaignData data =
+      obtain_campaign(app, flags, err, &options);
   const codesign::AppRequirements req = pipeline::to_requirements(
       pipeline::model_requirements(data, options));
   const codesign::SystemSkeleton base{
@@ -283,7 +307,8 @@ int cmd_upgrade(const apps::Application& app, const Flags& flags,
 int cmd_strawman(const apps::Application& app, const Flags& flags,
                  std::ostream& out, std::ostream& err) {
   const model::GeneratorOptions options = generator_options(flags);
-  const pipeline::CampaignData data = obtain_campaign(app, flags, err);
+  const pipeline::CampaignData data =
+      obtain_campaign(app, flags, err, &options);
   const codesign::AppRequirements req = pipeline::to_requirements(
       pipeline::model_requirements(data, options));
   const auto systems = codesign::paper_strawmen();
@@ -430,6 +455,8 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
   // every shard its own fit-on-demand registry (the fitter is serial per
   // shard, so shards may fit distinct apps concurrently).
   const pipeline::CampaignConfig fit_config = campaign_config(flags);
+  require_fittable_grid(fit_config,
+                        model::GeneratorOptions{}.min_distinct_values);
   serve::ShardedServer server(sharded_options(flags), [fit_config] {
     return std::make_unique<serve::ModelRegistry>(
         pipeline::make_registry_fitter(fit_config));
@@ -620,7 +647,9 @@ std::string usage() {
          "                   (text by default). See docs/OBSERVABILITY.md.\n"
          "A flag the command does not read is an error.\n"
          "Lists are comma-separated integers, e.g. --processes 4,8,16,32,64;\n"
-         "they are sorted, deduplicated, and need >= 2 distinct values.\n"
+         "they are sorted, deduplicated, and need >= 2 distinct values;\n"
+         "model, upgrade, strawman and serve measure only grids with >= 5\n"
+         "distinct values per axis, which the model generator needs.\n"
          "`measure --checkpoint DIR` appends every completed grid point to a\n"
          "crash-safe checkpoint; `--resume` reloads it after an interruption\n"
          "and measures only the missing points (the CSV is byte-identical to\n"

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 
 #include "model/linalg.hpp"
 #include "model/term_cache.hpp"
@@ -35,9 +35,14 @@ double relative_error(double predicted, double observed, double scale) {
   return std::fabs(predicted - observed) / denom;
 }
 
-/// Cached basis columns of the hypothesis under evaluation, one per term,
-/// each spanning every coordinate of the data set.
-using Columns = std::vector<const std::vector<double>*>;
+/// One term's basis values at every coordinate of the data set, as the
+/// engine's TermCache holds them.
+using Column = std::vector<double>;
+
+/// The cached basis columns of a hypothesis, one per term, in term order.
+/// Within one engine two terms have the same structure exactly when they
+/// share a cached column, so this sequence also identifies the hypothesis.
+using Columns = std::span<const Column* const>;
 
 struct CoefficientFit {
   double constant = 0.0;
@@ -84,6 +89,111 @@ FitQuality evaluate_quality(const MeasurementSet& data, const Model& model,
   return quality;
 }
 
+/// Hypothesis-score memo keyed by a hypothesis' column sequence (see
+/// Columns). Keys are copied into one arena and the table is open-addressed
+/// with linear probing, so a lookup never allocates and an insert only when
+/// the arena or the table grows. Not thread-safe: the engine holds its memo
+/// mutex around every call.
+class ScoreMemo {
+ public:
+  /// The memoized score of `key`, or null.
+  const double* find(Columns key) const {
+    if (slots_.empty()) return nullptr;
+    const Slot& slot = slots_[probe(key, hash(key))];
+    return slot.occupied ? &slot.score : nullptr;
+  }
+
+  /// Memoizes `score` under `key`; a key already present keeps its score.
+  void insert(Columns key, double score) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::size_t key_hash = hash(key);
+    Slot& slot = slots_[probe(key, key_hash)];
+    if (slot.occupied) return;
+    slot = {key_hash, arena_.size(), key.size(), score, true};
+    arena_.insert(arena_.end(), key.begin(), key.end());
+    ++size_;
+  }
+
+ private:
+  struct Slot {
+    std::size_t hash = 0;
+    std::size_t begin = 0;  ///< the key's first column in arena_
+    std::size_t length = 0;
+    double score = 0.0;
+    bool occupied = false;
+  };
+
+  static std::size_t hash(Columns key) {
+    std::uint64_t h = key.size();
+    for (const Column* column : key) {
+      h ^= reinterpret_cast<std::uintptr_t>(column);
+      h *= 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+  }
+
+  /// The slot holding `key`, or the empty slot where it belongs.
+  std::size_t probe(Columns key, std::size_t key_hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = key_hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (!slot.occupied) return i;
+      if (slot.hash == key_hash && slot.length == key.size() &&
+          std::equal(key.begin(), key.end(), arena_.data() + slot.begin)) {
+        return i;
+      }
+    }
+  }
+
+  /// Doubles the table (at most half full after any insert).
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (!slot.occupied) continue;
+      std::size_t i = slot.hash & mask;
+      while (slots_[i].occupied) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<const Column*> arena_;
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+/// Per-thread scratch of the scoring code. It outlives fits and engines,
+/// so once its buffers have grown, scoring a hypothesis allocates nothing.
+/// Each member has one role, and code holding a member must not call code
+/// that takes the same member (a candidate body may run on the thread of
+/// the generation that started it):
+/// - `qr`, `weighted`, `folds`, `subset`, `fold_table`: the hypothesis
+///   being scored — its factorization, one weighted column at a time, and
+///   its leave-one-out folds (the scalar engine's per-fold rows and
+///   coefficients in `subset` and `fold_table`);
+/// - `trial`: the columns of a trial hypothesis handed to cv_score;
+/// - `prefix`, `key`, `missing`, `fresh`: one generation of
+///   score_extensions_batch, held while its candidate bodies run.
+struct Workspace {
+  RetainedQr qr;
+  std::vector<double> weighted;
+  LeaveOneOutFolds folds;
+  std::vector<std::size_t> subset;
+  std::vector<double> fold_table;
+  std::vector<const Column*> trial;
+  RetainedQr prefix;
+  std::vector<const Column*> key;
+  std::vector<std::size_t> missing;
+  std::vector<double> fresh;
+};
+
+Workspace& thread_workspace() {
+  thread_local Workspace workspace;
+  return workspace;
+}
+
 }  // namespace
 
 double EngineStats::cache_hit_rate() const {
@@ -118,7 +228,7 @@ struct FitEngine::Impl {
   std::atomic<std::size_t> extension_count{0};
   std::atomic<std::size_t> downdate_count{0};
   std::mutex memo_mutex;
-  std::unordered_map<std::string, double> score_memo;
+  ScoreMemo score_memo;
 
   // Precomputed once per engine: the fitter's weighted view of the data.
   // Every solve factors [w*1, w*col_1, ...] against w*y over some rows, so
@@ -154,8 +264,8 @@ struct FitEngine::Impl {
   /// Runs body(i) for i in [0, count), on the pool when attached. Bodies
   /// must write results only under their own index; callers reduce serially
   /// afterwards, which keeps every thread count bit-identical.
-  void for_each_index(std::size_t count,
-                      const std::function<void(std::size_t)>& body) {
+  template <typename Body>
+  void for_each_index(std::size_t count, const Body& body) {
     if (pool == nullptr) {
       for (std::size_t i = 0; i < count; ++i) body(i);
     } else {
@@ -163,18 +273,21 @@ struct FitEngine::Impl {
     }
   }
 
-  Columns columns_for(const std::vector<Term>& basis) {
-    Columns columns;
+  /// The cached column of every term, in order.
+  std::vector<const Column*> columns_for(const std::vector<Term>& basis) {
+    std::vector<const Column*> columns;
     columns.reserve(basis.size());
     for (const Term& term : basis) columns.push_back(&cache.column(term));
     return columns;
   }
 
   /// Coefficient-stability guard shared by both CV paths: every term must
-  /// be estimable consistently from any m-1 of the measurements.
-  bool coefficients_stable(
-      const std::vector<std::vector<double>>& fold_coefficients) const {
-    for (const std::vector<double>& folds : fold_coefficients) {
+  /// be estimable consistently from any m-1 of the measurements. `table`
+  /// holds `terms` rows of m fold coefficients each.
+  bool coefficients_stable(std::span<const double> table, std::size_t terms,
+                           std::size_t m) const {
+    for (std::size_t c = 0; c < terms; ++c) {
+      const std::span<const double> folds = table.subspan(c * m, m);
       if (folds.size() < 2) continue;
       const double mean_coefficient = exareq::mean(folds);
       const double spread = exareq::stddev(folds);
@@ -186,61 +299,76 @@ struct FitEngine::Impl {
     return true;
   }
 
-  /// w .* column over `rows`: one column of the weighted problem.
-  std::vector<double> weighted_rows(const std::vector<double>& column,
-                                    std::span<const std::size_t> rows) const {
-    std::vector<double> out(rows.size());
+  /// w .* column over `rows` into `out`: one column of the weighted problem.
+  void weighted_rows(const Column& column, std::span<const std::size_t> rows,
+                     std::vector<double>& out) const {
+    out.resize(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       out[i] = column[rows[i]];
       if (!row_weights.empty()) out[i] *= row_weights[rows[i]];
     }
-    return out;
   }
 
   /// Factors the weighted design [w*1, w*col_1, ..., w*col_k] against w*y
-  /// over `rows`, retaining the reflectors so callers can extend or
-  /// downdate it. Every least-squares solve of the fitter starts here:
-  /// full-data fits and batched scoring pass every row, the scalar
-  /// engine's folds the m-1 rows that remain.
-  RetainedQr factor_basis(const Columns& columns,
-                          std::span<const std::size_t> rows) const {
-    RetainedQr qr(rows.size(), weighted_rows(data.values(), rows));
-    qr.append_column(weighted_rows(ones, rows));
-    for (const std::vector<double>* column : columns) {
+  /// over `rows` into `qr`, retaining the reflectors so callers can extend
+  /// or downdate it; `weighted` carries one column at a time. Every
+  /// least-squares solve of the fitter starts here: full-data fits and
+  /// batched scoring pass every row, the scalar engine's folds the m-1 rows
+  /// that remain.
+  void factor_basis(Columns columns, std::span<const std::size_t> rows,
+                    RetainedQr& qr, std::vector<double>& weighted) const {
+    weighted_rows(data.values(), rows, weighted);
+    qr.restart(rows.size(), weighted);
+    weighted_rows(ones, rows, weighted);
+    qr.append_column(weighted);
+    for (const Column* column : columns) {
       if (qr.rank_deficient()) break;
-      qr.append_column(weighted_rows(*column, rows));
+      weighted_rows(*column, rows, weighted);
+      qr.append_column(weighted);
     }
-    return qr;
   }
 
   /// The coefficient checks every solution passes, full fit or fold:
   /// finite, and (when required) non-negative term coefficients — index 0
-  /// is the constant, which may take any sign.
-  bool admissible(std::span<const double> solution) const {
-    for (double c : solution) {
-      if (!std::isfinite(c)) return false;
+  /// is the constant, which may take any sign. The `count` coefficients lie
+  /// `stride` apart (a fold is one column of the fold table).
+  bool admissible(const double* solution, std::size_t count,
+                  std::size_t stride) const {
+    for (std::size_t c = 0; c < count; ++c) {
+      if (!std::isfinite(solution[c * stride])) return false;
     }
     if (options.require_nonnegative) {
-      for (std::size_t c = 1; c < solution.size(); ++c) {
-        if (solution[c] < 0.0) return false;
+      for (std::size_t c = 1; c < count; ++c) {
+        if (solution[c * stride] < 0.0) return false;
       }
     }
     return true;
   }
 
-  /// Weighted least-squares fit of [1, columns...] over `rows`: one
-  /// factorization, counted as a solve. Inadmissible when underdetermined,
-  /// rank-deficient, or rejected by `admissible`.
-  CoefficientFit fit_coefficients(const Columns& columns,
-                                  std::span<const std::size_t> rows) {
-    CoefficientFit fit;
-    if (rows.size() < columns.size() + 1) return fit;  // underdetermined
+  bool admissible(std::span<const double> solution) const {
+    return admissible(solution.data(), solution.size(), 1);
+  }
+
+  /// Weighted least-squares fit of [1, columns...] over `rows` into
+  /// `ws.qr`: one factorization, counted as a solve. False when
+  /// underdetermined, rank-deficient, or rejected by `admissible`;
+  /// otherwise ws.qr.solution() is [constant, coefficients...].
+  bool solve_coefficients(Columns columns, std::span<const std::size_t> rows,
+                          Workspace& ws) {
+    if (rows.size() < columns.size() + 1) return false;  // underdetermined
     solves.fetch_add(1, std::memory_order_relaxed);
-    RetainedQr qr = factor_basis(columns, rows);
-    if (qr.rank_deficient()) return fit;
-    qr.solve();
-    const std::vector<double>& solution = qr.solution();
-    if (!admissible(solution)) return fit;
+    factor_basis(columns, rows, ws.qr, ws.weighted);
+    if (ws.qr.rank_deficient()) return false;
+    ws.qr.solve();
+    return admissible(ws.qr.solution());
+  }
+
+  /// solve_coefficients over every row, copied out of the workspace.
+  CoefficientFit fit_coefficients(Columns columns) {
+    CoefficientFit fit;
+    Workspace& ws = thread_workspace();
+    if (!solve_coefficients(columns, every_row, ws)) return fit;
+    const std::vector<double>& solution = ws.qr.solution();
     fit.constant = solution[0];
     fit.coefficients.assign(solution.begin() + 1, solution.end());
     fit.admissible = true;
@@ -248,91 +376,96 @@ struct FitEngine::Impl {
   }
 
   /// LOO score from an already-solved factorization: admissibility of the
-  /// full fit, then one rank-one downdate per fold instead of a refit.
+  /// full fit, then every fold by a rank-one downdate instead of a refit.
   /// Checks per fold mirror the scalar path exactly — the same
   /// `admissible`, and the leverage guard standing in for per-fold rank
-  /// deficiency — so both paths reject the same hypotheses.
-  double cv_from_factored(const RetainedQr& qr, const Columns& columns) {
+  /// deficiency — so both paths reject the same hypotheses. Counts one
+  /// downdate per fold up to and including the first rejected one.
+  double cv_from_factored(const RetainedQr& qr, LeaveOneOutFolds& folds) {
     const std::size_t m = data.size();
-    const std::size_t k = columns.size();
+    const std::size_t n = qr.cols();
     if (!admissible(qr.solution())) return kInfinity;
+    qr.leave_one_out_folds(folds);
 
-    double total = 0.0;
-    std::vector<double> fold(k + 1);
-    std::vector<std::vector<double>> fold_coefficients(k);
-    for (std::size_t left_out = 0; left_out < m; ++left_out) {
-      downdate_count.fetch_add(1, std::memory_order_relaxed);
-      double loo_residual = 0.0;
-      if (!qr.leave_one_out(left_out, fold, &loo_residual)) return kInfinity;
-      if (!admissible(fold)) return kInfinity;
-      for (std::size_t c = 0; c < k; ++c) {
-        fold_coefficients[c].push_back(fold[c + 1]);
+    std::size_t checked = 0;
+    const double score = [&] {
+      double total = 0.0;
+      for (std::size_t left_out = 0; left_out < m; ++left_out) {
+        ++checked;
+        if (folds.singular[left_out] != 0 ||
+            !admissible(folds.coefficients.data() + left_out, n, m)) {
+          return kInfinity;
+        }
+        // The fold's prediction error comes from the PRESS residual, not
+        // from re-summing the downdated coefficients — the factored form is
+        // exact where the coefficient reconstruction cancels on near-exact
+        // fits. The residual lives in the weighted problem; dividing by the
+        // row weight (== 1 / relative_error's denominator) takes it back.
+        const double weight =
+            row_weights.empty() ? 1.0 : row_weights[left_out];
+        const double predicted =
+            data.value(left_out) - folds.press[left_out] / weight;
+        total += relative_error(predicted, data.value(left_out), obs_scale);
       }
-      // The fold's prediction error comes from the PRESS residual, not
-      // from re-summing the downdated coefficients — the factored form is
-      // exact where the coefficient reconstruction cancels on near-exact
-      // fits. The residual lives in the weighted problem; dividing by the
-      // row weight (== 1 / relative_error's denominator) takes it back.
-      const double weight = row_weights.empty() ? 1.0 : row_weights[left_out];
-      const double predicted = data.value(left_out) - loo_residual / weight;
-      total += relative_error(predicted, data.value(left_out), obs_scale);
-    }
-    if (!coefficients_stable(fold_coefficients)) return kInfinity;
-    return total / static_cast<double>(m);
+      // The term coefficients' folds, after the constant's.
+      if (!coefficients_stable(
+              std::span<const double>(folds.coefficients).subspan(m), n - 1,
+              m)) {
+        return kInfinity;
+      }
+      return total / static_cast<double>(m);
+    }();
+    downdate_count.fetch_add(checked, std::memory_order_relaxed);
+    return score;
   }
 
   /// Batched CV: one retained QR for the whole hypothesis, m downdates.
-  double compute_cv_batched(const std::vector<Term>& basis) {
+  double compute_cv_batched(Columns columns) {
     const std::size_t m = data.size();
-    if (m < basis.size() + 2) return kInfinity;
-    const Columns columns = columns_for(basis);
+    if (m < columns.size() + 2) return kInfinity;
+    Workspace& ws = thread_workspace();
     solves.fetch_add(1, std::memory_order_relaxed);
-    RetainedQr qr = factor_basis(columns, every_row);
-    if (qr.rank_deficient()) return kInfinity;
-    qr.solve();
-    return cv_from_factored(qr, columns);
+    factor_basis(columns, every_row, ws.qr, ws.weighted);
+    if (ws.qr.rank_deficient()) return kInfinity;
+    ws.qr.solve();
+    return cv_from_factored(ws.qr, ws.folds);
   }
 
   /// The CV computation proper; `full_fit` lets refit() share its full-data
   /// solve instead of repeating it (scalar mode only — the batched path
   /// needs its own factorization for the downdates anyway).
-  double compute_cv(const std::vector<Term>& basis,
-                    const CoefficientFit* full_fit) {
-    if (options.batched_cv) return compute_cv_batched(basis);
+  double compute_cv(Columns columns, const CoefficientFit* full_fit) {
+    if (options.batched_cv) return compute_cv_batched(columns);
     const std::size_t m = data.size();
+    const std::size_t k = columns.size();
     // Need at least one spare point beyond the coefficients to leave out.
-    if (m < basis.size() + 2) return kInfinity;
-
-    const Columns columns = columns_for(basis);
+    if (m < k + 2) return kInfinity;
+    Workspace& ws = thread_workspace();
 
     // The full fit must be admissible (non-negative, full rank); otherwise
     // the hypothesis is rejected outright.
-    CoefficientFit local;
-    if (full_fit == nullptr) {
-      local = fit_coefficients(columns, every_row);
-      full_fit = &local;
-    }
-    if (!full_fit->admissible) return kInfinity;
+    const bool full_admissible =
+        full_fit == nullptr ? solve_coefficients(columns, every_row, ws)
+                            : full_fit->admissible;
+    if (!full_admissible) return kInfinity;
 
     double total = 0.0;
-    std::vector<std::size_t> subset;
-    subset.reserve(m - 1);
-    std::vector<std::vector<double>> fold_coefficients(basis.size());
+    ws.fold_table.resize(k * m);
     for (std::size_t left_out = 0; left_out < m; ++left_out) {
-      subset.clear();
+      ws.subset.clear();
       for (std::size_t r = 0; r < m; ++r) {
-        if (r != left_out) subset.push_back(r);
+        if (r != left_out) ws.subset.push_back(r);
       }
-      const CoefficientFit fit = fit_coefficients(columns, subset);
-      if (!fit.admissible) return kInfinity;
-      double predicted = fit.constant;
-      for (std::size_t c = 0; c < basis.size(); ++c) {
-        predicted += fit.coefficients[c] * (*columns[c])[left_out];
-        fold_coefficients[c].push_back(fit.coefficients[c]);
+      if (!solve_coefficients(columns, ws.subset, ws)) return kInfinity;
+      const std::vector<double>& fit = ws.qr.solution();
+      double predicted = fit[0];
+      for (std::size_t c = 0; c < k; ++c) {
+        predicted += fit[c + 1] * (*columns[c])[left_out];
+        ws.fold_table[c * m + left_out] = fit[c + 1];
       }
       total += relative_error(predicted, data.value(left_out), obs_scale);
     }
-    if (!coefficients_stable(fold_coefficients)) return kInfinity;
+    if (!coefficients_stable(ws.fold_table, k, m)) return kInfinity;
     return total / static_cast<double>(m);
   }
 
@@ -348,94 +481,88 @@ struct FitEngine::Impl {
     return score < kNumericallyZero ? 0.0 : score;
   }
 
-  double cv_score(const std::vector<Term>& basis,
-                  const CoefficientFit* full_fit = nullptr) {
+  double cv_score(Columns columns, const CoefficientFit* full_fit = nullptr) {
     hypotheses.fetch_add(1, std::memory_order_relaxed);
-    const std::string key = basis_key(basis);
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
-      const auto it = score_memo.find(key);
-      if (it != score_memo.end()) {
+      if (const double* memoized = score_memo.find(columns)) {
         score_hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
+        return *memoized;
       }
     }
-    const double score = selection_score(compute_cv(basis, full_fit));
+    const double score = selection_score(compute_cv(columns, full_fit));
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
-      score_memo.emplace(key, score);
+      score_memo.insert(columns, score);
     }
     return score;
   }
 
-  /// Scores the whole generation selected + extensions[j]: the shared
-  /// prefix [w*1, w*selected...] is factored once, and each candidate
-  /// extends a copy of it by a single Householder column update. Appending
-  /// columns one at a time is arithmetically the same factorization
-  /// cv_score would build for the full trial, so the memoized scores are
-  /// bit-identical between the two entry points.
-  std::vector<double> score_extensions_batch(
-      const std::vector<Term>& selected, const std::vector<Term>& extensions) {
-    std::vector<double> scores(extensions.size(), kInfinity);
-    if (extensions.empty()) return scores;
+  /// Scores the whole generation selected + extensions[j] into scores[j]:
+  /// the shared prefix [w*1, w*selected...] is factored once, and each
+  /// candidate extends a copy of it by a single Householder column update.
+  /// Appending columns one at a time is arithmetically the same
+  /// factorization cv_score would build for the full trial, so the memoized
+  /// scores are bit-identical between the two entry points.
+  void score_extensions_batch(Columns selected, Columns extensions,
+                              std::span<double> scores) {
+    std::fill(scores.begin(), scores.end(), kInfinity);
+    if (extensions.empty()) return;
     if (!options.batched_cv) {
       // Scalar mode: the historical per-candidate scoring loop.
       for_each_index(extensions.size(), [&](std::size_t j) {
-        std::vector<Term> trial = selected;
+        std::vector<const Column*>& trial = thread_workspace().trial;
+        trial.assign(selected.begin(), selected.end());
         trial.push_back(extensions[j]);
         scores[j] = cv_score(trial);
       });
-      return scores;
+      return;
     }
 
     hypotheses.fetch_add(extensions.size(), std::memory_order_relaxed);
-    const std::string prefix_key = basis_key(selected);
-    std::vector<std::string> keys(extensions.size());
-    std::vector<std::size_t> missing;
-    std::vector<Term> one_term(1);
+    Workspace& ws = thread_workspace();
+    // The memo key of candidate j: the prefix, then extensions[j] last.
+    ws.key.assign(selected.begin(), selected.end());
+    ws.key.push_back(nullptr);
+    ws.missing.clear();
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
       for (std::size_t j = 0; j < extensions.size(); ++j) {
-        one_term[0] = extensions[j];
-        // basis_key concatenates per-term keys, so prefix + one more term
-        // keys identically to basis_key of the whole trial.
-        keys[j] = prefix_key;
-        keys[j] += basis_key(one_term);
-        const auto it = score_memo.find(keys[j]);
-        if (it != score_memo.end()) {
+        ws.key.back() = extensions[j];
+        if (const double* memoized = score_memo.find(ws.key)) {
           score_hits.fetch_add(1, std::memory_order_relaxed);
-          scores[j] = it->second;
+          scores[j] = *memoized;
         } else {
-          missing.push_back(j);
+          ws.missing.push_back(j);
         }
       }
     }
-    if (missing.empty()) return scores;
+    if (ws.missing.empty()) return;
 
     const std::size_t m = data.size();
-    std::vector<double> fresh(missing.size(), kInfinity);
+    const std::vector<std::size_t>& missing = ws.missing;
+    std::vector<double>& fresh = ws.fresh;
+    fresh.assign(missing.size(), kInfinity);
     // Every trial has selected.size() + 2 coefficients; with fewer points
     // than that plus a spare, or with a dependent prefix, all candidates
     // are inadmissible at once and the defaults (+inf) stand.
     if (m >= selected.size() + 3) {
-      const Columns prefix_columns = columns_for(selected);
       // The generation's one from-scratch factorization; every candidate
       // below extends it by a single Householder column, which costs a
       // column update, not a solve.
       solves.fetch_add(1, std::memory_order_relaxed);
-      const RetainedQr prefix = factor_basis(prefix_columns, every_row);
+      factor_basis(selected, every_row, ws.prefix, ws.weighted);
+      const RetainedQr& prefix = ws.prefix;
       if (!prefix.rank_deficient()) {
         for_each_index(missing.size(), [&](std::size_t idx) {
-          const Term& extension = extensions[missing[idx]];
-          const std::vector<double>& column = cache.column(extension);
+          Workspace& local = thread_workspace();
           extension_count.fetch_add(1, std::memory_order_relaxed);
-          RetainedQr qr = prefix;
-          qr.append_column(weighted_rows(column, every_row));
-          if (qr.rank_deficient()) return;  // fresh[idx] stays +inf
-          qr.solve();
-          Columns trial_columns = prefix_columns;
-          trial_columns.push_back(&column);
-          fresh[idx] = selection_score(cv_from_factored(qr, trial_columns));
+          local.qr = prefix;
+          weighted_rows(*extensions[missing[idx]], every_row, local.weighted);
+          local.qr.append_column(local.weighted);
+          if (local.qr.rank_deficient()) return;  // fresh[idx] stays +inf
+          local.qr.solve();
+          fresh[idx] = selection_score(cv_from_factored(local.qr, local.folds));
         });
       }
     }
@@ -443,10 +570,10 @@ struct FitEngine::Impl {
       const std::lock_guard<std::mutex> lock(memo_mutex);
       for (std::size_t idx = 0; idx < missing.size(); ++idx) {
         scores[missing[idx]] = fresh[idx];
-        score_memo.emplace(keys[missing[idx]], fresh[idx]);
+        ws.key.back() = extensions[missing[idx]];
+        score_memo.insert(ws.key, fresh[idx]);
       }
     }
-    return scores;
   }
 };
 
@@ -461,19 +588,22 @@ std::size_t FitEngine::thread_count() const { return impl_->options.threads; }
 exareq::ThreadPool* FitEngine::pool() const { return impl_->pool; }
 
 double FitEngine::cv_score(const std::vector<Term>& basis) {
-  return impl_->cv_score(basis);
+  return impl_->cv_score(impl_->columns_for(basis));
 }
 
 std::vector<double> FitEngine::score_extensions(
     const std::vector<Term>& selected, const std::vector<Term>& extensions) {
-  return impl_->score_extensions_batch(selected, extensions);
+  std::vector<double> scores(extensions.size());
+  impl_->score_extensions_batch(impl_->columns_for(selected),
+                                impl_->columns_for(extensions), scores);
+  return scores;
 }
 
 FitResult FitEngine::refit(const std::vector<Term>& basis) {
   exareq::require(!impl_->data.empty(), "refit_hypothesis: empty measurement set");
   const auto started = std::chrono::steady_clock::now();
-  const CoefficientFit fit = impl_->fit_coefficients(impl_->columns_for(basis),
-                                                     impl_->every_row);
+  const std::vector<const Column*> columns = impl_->columns_for(basis);
+  const CoefficientFit fit = impl_->fit_coefficients(columns);
   if (!fit.admissible) {
     throw exareq::NumericError(
         "refit_hypothesis: hypothesis inadmissible for this data "
@@ -482,7 +612,7 @@ FitResult FitEngine::refit(const std::vector<Term>& basis) {
   FitResult result;
   result.model = make_model(impl_->data, basis, fit);
   result.quality = evaluate_quality(impl_->data, result.model,
-                                    impl_->cv_score(basis, &fit));
+                                    impl_->cv_score(columns, &fit));
   result.stats = stats();
   result.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
@@ -530,51 +660,92 @@ struct ScoredCandidate {
   double complexity = 0.0;
 };
 
-bool duplicates_selected(const std::vector<Term>& selected, const Term& term,
-                         std::size_t skip_position = SIZE_MAX) {
+/// One fit's search over a term pool. Hypotheses are lists of pool
+/// indices; each pool term's cached column is resolved once, up front, and
+/// the serial steps of every generation reuse the buffers below (parallel
+/// refine trials build their columns in the thread workspaces instead).
+struct PoolSearch {
+  PoolSearch(FitEngine::Impl& engine_in, const std::vector<Term>& pool_in)
+      : engine(engine_in),
+        pool(pool_in),
+        columns(engine_in.columns_for(pool_in)) {}
+
+  /// The columns of the pool terms `indices` into `out`, in order.
+  Columns gather(const std::vector<std::size_t>& indices,
+                 std::vector<const Column*>& out) const {
+    out.clear();
+    for (std::size_t index : indices) out.push_back(columns[index]);
+    return out;
+  }
+
+  FitEngine::Impl& engine;
+  const std::vector<Term>& pool;
+  std::vector<const Column*> columns;  ///< columns[i]: pool[i]'s cached column
+  std::vector<const Column*> hypothesis_columns;
+  std::vector<std::size_t> eligible;
+  std::vector<const Column*> extensions;
+  std::vector<std::size_t> trials;
+  std::vector<double> scores;
+  std::vector<ScoredCandidate> candidates;
+};
+
+std::vector<Term> terms_of(const std::vector<Term>& pool,
+                           const std::vector<std::size_t>& indices) {
+  std::vector<Term> terms;
+  terms.reserve(indices.size());
+  for (std::size_t index : indices) terms.push_back(pool[index]);
+  return terms;
+}
+
+bool duplicates_selected(const std::vector<Term>& pool,
+                         const std::vector<std::size_t>& selected,
+                         const Term& term, std::size_t skip_position = SIZE_MAX) {
   for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (i != skip_position && selected[i].same_basis(term)) return true;
+    if (i != skip_position && pool[selected[i]].same_basis(term)) return true;
   }
   return false;
 }
 
 /// Scores every pool term as an extension of `selected` (duplicates and
-/// inadmissible hypotheses excluded), best score first. The whole
-/// generation goes through the engine's batched scorer — one shared-prefix
-/// factorization, one column update per candidate — with candidates running
-/// in parallel across the engine's pool; the ranking itself is a serial
-/// reduction in pool order, so the result is thread-count invariant.
-std::vector<ScoredCandidate> score_extensions(FitEngine::Impl& engine,
-                                              const std::vector<Term>& pool,
-                                              const std::vector<Term>& selected) {
-  std::vector<std::size_t> eligible;
-  eligible.reserve(pool.size());
+/// inadmissible hypotheses excluded) into `candidates`, best score first.
+/// The whole generation goes through the engine's batched scorer — one
+/// shared-prefix factorization, one column update per candidate — with
+/// candidates running in parallel across the engine's pool; the ranking
+/// itself is a serial reduction in pool order, so the result is
+/// thread-count invariant.
+void score_extensions(PoolSearch& search, const std::vector<std::size_t>& selected,
+                      std::vector<ScoredCandidate>& candidates) {
+  const std::vector<Term>& pool = search.pool;
+  search.eligible.clear();
+  search.extensions.clear();
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (!duplicates_selected(selected, pool[i])) eligible.push_back(i);
+    if (duplicates_selected(pool, selected, pool[i])) continue;
+    search.eligible.push_back(i);
+    search.extensions.push_back(search.columns[i]);
   }
-  std::vector<Term> extensions;
-  extensions.reserve(eligible.size());
-  for (std::size_t index : eligible) extensions.push_back(pool[index]);
-  std::vector<double> scores;
+  search.scores.resize(search.eligible.size());
   {
     obs::ScopedSpan span("score_extensions", "model");
-    span.arg("candidates", static_cast<double>(eligible.size()));
+    span.arg("candidates", static_cast<double>(search.eligible.size()));
     span.arg("selected_terms", static_cast<double>(selected.size()));
-    scores = engine.score_extensions_batch(selected, extensions);
+    search.engine.score_extensions_batch(
+        search.gather(selected, search.hypothesis_columns), search.extensions,
+        search.scores);
   }
 
-  std::vector<ScoredCandidate> candidates;
-  candidates.reserve(eligible.size());
-  for (std::size_t j = 0; j < eligible.size(); ++j) {
-    if (!std::isfinite(scores[j])) continue;
-    candidates.push_back(
-        {eligible[j], scores[j], pool[eligible[j]].complexity()});
+  candidates.clear();
+  for (std::size_t j = 0; j < search.eligible.size(); ++j) {
+    if (!std::isfinite(search.scores[j])) continue;
+    const std::size_t index = search.eligible[j];
+    candidates.push_back({index, search.scores[j], pool[index].complexity()});
   }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const ScoredCandidate& a, const ScoredCandidate& b) {
-                     return a.score < b.score;
-                   });
-  return candidates;
+  // Best score first, ties in pool order: the order a stable sort by score
+  // gives, since candidates were gathered in pool order.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const ScoredCandidate& a, const ScoredCandidate& b) {
+              return a.score < b.score ||
+                     (a.score == b.score && a.pool_index < b.pool_index);
+            });
 }
 
 /// The tie rule: among candidates within tie_tolerance of the best score,
@@ -592,29 +763,28 @@ const ScoredCandidate* pick_candidate(const std::vector<ScoredCandidate>& candid
 }
 
 struct Hypothesis {
-  std::vector<Term> selected;
+  std::vector<std::size_t> selected;  ///< pool indices
   double score = kInfinity;
 
-  double complexity() const {
+  double complexity(const std::vector<Term>& pool) const {
     double total = 0.0;
-    for (const Term& term : selected) total += term.complexity();
+    for (std::size_t index : selected) total += pool[index].complexity();
     return total;
   }
 };
 
 /// Greedy continuation: keeps adding the best significant term.
-void grow_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
-                     Hypothesis& hypothesis) {
-  const FitOptions& options = engine.options;
+void grow_hypothesis(PoolSearch& search, Hypothesis& hypothesis) {
+  const FitOptions& options = search.engine.options;
   while (hypothesis.selected.size() < options.max_terms &&
          hypothesis.score > options.score_tolerance) {
-    const auto candidates = score_extensions(engine, pool, hypothesis.selected);
-    const ScoredCandidate* chosen = pick_candidate(candidates, options);
+    score_extensions(search, hypothesis.selected, search.candidates);
+    const ScoredCandidate* chosen = pick_candidate(search.candidates, options);
     if (chosen == nullptr) break;
     const bool significant =
         chosen->score < hypothesis.score * (1.0 - options.improvement_threshold);
     if (!significant) break;
-    hypothesis.selected.push_back(pool[chosen->pool_index]);
+    hypothesis.selected.push_back(chosen->pool_index);
     hypothesis.score = chosen->score;
   }
 }
@@ -626,8 +796,9 @@ void grow_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
 /// often differs from the greedy one only in a single factor. Replacement
 /// candidates are scored in parallel; the winner is chosen by a serial scan
 /// in pool order, matching the sequential semantics exactly.
-void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
-                       Hypothesis& hypothesis) {
+void refine_hypothesis(PoolSearch& search, Hypothesis& hypothesis) {
+  FitEngine::Impl& engine = search.engine;
+  const std::vector<Term>& pool = search.pool;
   const FitOptions& options = engine.options;
   for (int round = 0; round < 4; ++round) {
     bool improved = false;
@@ -635,31 +806,32 @@ void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
     // Replacement moves.
     for (std::size_t position = 0; position < hypothesis.selected.size();
          ++position) {
-      std::vector<std::size_t> trials;
-      trials.reserve(pool.size());
+      const std::vector<std::size_t>& selected = hypothesis.selected;
+      search.trials.clear();
       for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (duplicates_selected(hypothesis.selected, pool[i], position) ||
-            hypothesis.selected[position].same_basis(pool[i])) {
+        if (duplicates_selected(pool, selected, pool[i], position) ||
+            pool[selected[position]].same_basis(pool[i])) {
           continue;
         }
-        trials.push_back(i);
+        search.trials.push_back(i);
       }
-      std::vector<double> scores(trials.size(), kInfinity);
-      engine.for_each_index(trials.size(), [&](std::size_t j) {
-        std::vector<Term> trial = hypothesis.selected;
-        trial[position] = pool[trials[j]];
-        scores[j] = engine.cv_score(trial);
+      search.scores.assign(search.trials.size(), kInfinity);
+      engine.for_each_index(search.trials.size(), [&](std::size_t j) {
+        std::vector<const Column*>& trial = thread_workspace().trial;
+        search.gather(selected, trial);
+        trial[position] = search.columns[search.trials[j]];
+        search.scores[j] = engine.cv_score(trial);
       });
       std::size_t best_index = SIZE_MAX;
       double best_score = hypothesis.score;
-      for (std::size_t j = 0; j < trials.size(); ++j) {
-        if (scores[j] < best_score * (1.0 - options.tie_tolerance) - 1e-15) {
-          best_score = scores[j];
-          best_index = trials[j];
+      for (std::size_t j = 0; j < search.trials.size(); ++j) {
+        if (search.scores[j] < best_score * (1.0 - options.tie_tolerance) - 1e-15) {
+          best_score = search.scores[j];
+          best_index = search.trials[j];
         }
       }
       if (best_index != SIZE_MAX) {
-        hypothesis.selected[position] = pool[best_index];
+        hypothesis.selected[position] = best_index;
         hypothesis.score = best_score;
         improved = true;
       }
@@ -668,7 +840,8 @@ void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
     // Pruning moves: drop any term whose removal does not hurt the score
     // beyond the tie tolerance (simpler models extrapolate better).
     for (std::size_t position = 0; position < hypothesis.selected.size();) {
-      std::vector<Term> trial = hypothesis.selected;
+      std::vector<const Column*>& trial = search.hypothesis_columns;
+      search.gather(hypothesis.selected, trial);
       trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(position));
       const double score = engine.cv_score(trial);
       // A term is dropped when its removal keeps the score within the tie
@@ -676,7 +849,8 @@ void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
       const double keep_bound = std::max(
           hypothesis.score * (1.0 + options.tie_tolerance), options.score_tolerance);
       if (std::isfinite(score) && score <= keep_bound + 1e-15) {
-        hypothesis.selected = std::move(trial);
+        hypothesis.selected.erase(hypothesis.selected.begin() +
+                                  static_cast<std::ptrdiff_t>(position));
         hypothesis.score = score;
         improved = true;
       } else {
@@ -703,8 +877,9 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
   exareq::require(!data.empty(), "fit_with_pool: empty measurement set");
   exareq::require(options.max_terms >= 1, "fit_with_pool: max_terms must be >= 1");
   exareq::require(options.beam_width >= 1, "fit_with_pool: beam_width must be >= 1");
+  PoolSearch search(engine, pool);
 
-  double constant_score = engine.cv_score({});
+  double constant_score = engine.cv_score(Columns{});
   // A constant hypothesis can be inadmissible only for tiny data sets; fall
   // back to scoring it as the in-sample error then.
   if (!std::isfinite(constant_score)) {
@@ -723,7 +898,8 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
   Hypothesis best;
   best.score = constant_score;
   if (constant_score > options.score_tolerance) {
-    const auto first_candidates = score_extensions(engine, pool, {});
+    std::vector<ScoredCandidate> first_candidates;
+    score_extensions(search, {}, first_candidates);
     // Branch on every candidate whose single-term score sits within a
     // factor of the best one (the PMNF grid clusters many near-degenerate
     // shapes at the top, and the right *foundation* term is frequently not
@@ -742,34 +918,35 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
       if (!significant) break;  // candidates are sorted; none further qualify
       ++branched;
       Hypothesis branch;
-      branch.selected = {pool[seed.pool_index]};
+      branch.selected = {seed.pool_index};
       branch.score = seed.score;
-      grow_hypothesis(engine, pool, branch);
-      refine_hypothesis(engine, pool, branch);
+      grow_hypothesis(search, branch);
+      refine_hypothesis(search, branch);
       const bool better =
           branch.score < best.score * (1.0 - options.tie_tolerance) - 1e-12;
       const bool tied_but_simpler =
           branch.score < best.score * (1.0 + options.tie_tolerance) + 1e-12 &&
-          branch.complexity() < best.complexity();
+          branch.complexity(pool) < best.complexity(pool);
       if (better || (tied_but_simpler && !best.selected.empty())) {
         best = std::move(branch);
       }
     }
   }
 
-  std::vector<Term>& selected = best.selected;
+  std::vector<std::size_t>& selected = best.selected;
   double current_score = best.score;
 
   // Negligible-term pruning: refit, measure each term's largest relative
   // contribution over the data, and drop terms below the threshold.
   for (bool pruned = true; pruned && !selected.empty();) {
     pruned = false;
-    const CoefficientFit trial_fit =
-        engine.fit_coefficients(engine.columns_for(selected), engine.every_row);
+    const CoefficientFit trial_fit = engine.fit_coefficients(
+        search.gather(selected, search.hypothesis_columns));
     if (!trial_fit.admissible) break;
-    const Model trial_model = make_model(data, selected, trial_fit);
+    const std::vector<Term> selected_terms = terms_of(pool, selected);
+    const Model trial_model = make_model(data, selected_terms, trial_fit);
     for (std::size_t t = 0; t < selected.size(); ++t) {
-      Term contributing = selected[t];
+      Term contributing = selected_terms[t];
       contributing.coefficient = trial_fit.coefficients[t];
       double max_share = 0.0;
       for (std::size_t k = 0; k < data.size(); ++k) {
@@ -780,7 +957,8 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
             std::fabs(contributing.evaluate(data.coordinate(k))) / total);
       }
       if (max_share >= options.min_term_contribution) continue;
-      std::vector<Term> trial = selected;
+      std::vector<const Column*>& trial = search.hypothesis_columns;
+      search.gather(selected, trial);
       trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(t));
       const double rescored = engine.cv_score(trial);
       // The pruned basis can be CV-inadmissible even though the full
@@ -788,15 +966,15 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
       // non-negative or stable). Pruning must never launder a finite score
       // into +inf: keep the term and the pre-prune score in that case.
       if (!std::isfinite(rescored)) continue;
-      selected = std::move(trial);
+      selected.erase(selected.begin() + static_cast<std::ptrdiff_t>(t));
       current_score = rescored;
       pruned = true;
       break;
     }
   }
 
-  CoefficientFit fit =
-      engine.fit_coefficients(engine.columns_for(selected), engine.every_row);
+  CoefficientFit fit = engine.fit_coefficients(
+      search.gather(selected, search.hypothesis_columns));
   if (!fit.admissible) {
     // Degenerate data (fewer points than coefficients was excluded by the
     // CV admissibility test, so this only happens for the constant case on
@@ -808,7 +986,7 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
   }
 
   FitResult result;
-  result.model = make_model(data, selected, fit);
+  result.model = make_model(data, terms_of(pool, selected), fit);
   result.quality = evaluate_quality(data, result.model, current_score);
   result.stats = engine_handle.stats();
   result.stats.wall_seconds =

@@ -1,15 +1,30 @@
 #include "model/linalg.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/error.hpp"
 
 namespace exareq::model {
 
-RetainedQr::RetainedQr(std::size_t rows, std::span<const double> rhs)
-    : rows_(rows), qtb_(rhs.begin(), rhs.end()) {
+RetainedQr::RetainedQr(std::size_t rows, std::span<const double> rhs) {
+  restart(rows, rhs);
+}
+
+void RetainedQr::restart(std::size_t rows, std::span<const double> rhs) {
   exareq::require(rhs.size() == rows, "RetainedQr: rhs size mismatch");
   exareq::require(rows >= 1, "RetainedQr: need at least one row");
+  rows_ = rows;
+  cols_ = 0;
+  rank_deficient_ = false;
+  solved_ = false;
+  qtb_.assign(rhs.begin(), rhs.end());
+  column_scale_.clear();
+  equilibrated_.clear();
+  reflectors_.clear();
+  reflector_norm_sq_.clear();
+  r_packed_.clear();
+  reflected_diagonal_.clear();
 }
 
 void RetainedQr::append_column(std::span<const double> column) {
@@ -17,90 +32,83 @@ void RetainedQr::append_column(std::span<const double> column) {
                   "RetainedQr::append_column: column size mismatch");
   exareq::require(!solved_, "RetainedQr::append_column: already solved");
   if (rank_deficient_) return;
-  const std::size_t k = r_columns_.size();
-  exareq::require(k < rows_, "RetainedQr::append_column: more columns than rows");
+  const std::size_t k = cols_;
+  const std::size_t m = rows_;
+  exareq::require(k < m, "RetainedQr::append_column: more columns than rows");
 
   // Column equilibration to unit max-norm.
   double max_abs = 0.0;
   for (double value : column) max_abs = std::max(max_abs, std::fabs(value));
   const double scale = max_abs > 0.0 ? max_abs : 1.0;
-  std::vector<double> scaled(column.begin(), column.end());
-  if (max_abs > 0.0) {
-    for (double& value : scaled) value /= scale;
-  }
   column_scale_.push_back(scale);
+  equilibrated_.resize((k + 1) * m);
+  double* const scaled = equilibrated_.data() + k * m;
+  for (std::size_t i = 0; i < m; ++i) {
+    scaled[i] = max_abs > 0.0 ? column[i] / scale : column[i];
+  }
 
   // Reduce against the retained reflectors, oldest first — the same
   // reflections, in the same order, that a full right-looking factorization
   // would have applied to this column.
-  std::vector<double> work = scaled;
-  for (const Reflector& reflector : reflectors_) {
+  work_.assign(scaled, scaled + m);
+  double* const work = work_.data();
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* const v = reflectors_.data() + j * m;
+    const std::size_t length = m - j;
     double dot = 0.0;
-    for (std::size_t i = 0; i < reflector.v.size(); ++i) {
-      dot += reflector.v[i] * work[reflector.start + i];
-    }
-    const double factor = 2.0 * dot / reflector.norm_sq;
-    for (std::size_t i = 0; i < reflector.v.size(); ++i) {
-      work[reflector.start + i] -= factor * reflector.v[i];
-    }
+    for (std::size_t i = 0; i < length; ++i) dot += v[i] * work[j + i];
+    const double factor = 2.0 * dot / reflector_norm_sq_[j];
+    for (std::size_t i = 0; i < length; ++i) work[j + i] -= factor * v[i];
   }
-  equilibrated_.push_back(std::move(scaled));
 
   double norm = 0.0;
-  for (std::size_t r = k; r < rows_; ++r) norm += work[r] * work[r];
+  for (std::size_t i = k; i < m; ++i) norm += work[i] * work[i];
   norm = std::sqrt(norm);
-  std::vector<double> r_col(work.begin(),
-                            work.begin() + static_cast<std::ptrdiff_t>(k));
+  ++cols_;
+  r_packed_.insert(r_packed_.end(), work, work + k);
   if (norm < 1e-12) {
     // The column lies (numerically) in the span of its predecessors.
     rank_deficient_ = true;
-    r_col.push_back(0.0);
-    r_columns_.push_back(std::move(r_col));
+    r_packed_.push_back(0.0);
     return;
   }
 
   const double alpha = work[k] >= 0.0 ? -norm : norm;
-  Reflector reflector;
-  reflector.start = k;
-  reflector.v.resize(rows_ - k);
-  reflector.v[0] = work[k] - alpha;
-  for (std::size_t r = k + 1; r < rows_; ++r) reflector.v[r - k] = work[r];
-  for (double value : reflector.v) reflector.norm_sq += value * value;
+  reflectors_.resize((k + 1) * m);
+  double* const v = reflectors_.data() + k * m;
+  const std::size_t length = m - k;
+  v[0] = work[k] - alpha;
+  for (std::size_t i = 1; i < length; ++i) v[i] = work[k + i];
+  double norm_sq = 0.0;
+  for (std::size_t i = 0; i < length; ++i) norm_sq += v[i] * v[i];
+  reflector_norm_sq_.push_back(norm_sq);
 
   double dot = 0.0;
-  for (std::size_t i = 0; i < reflector.v.size(); ++i) {
-    dot += reflector.v[i] * qtb_[k + i];
-  }
-  const double factor = 2.0 * dot / reflector.norm_sq;
-  for (std::size_t i = 0; i < reflector.v.size(); ++i) {
-    qtb_[k + i] -= factor * reflector.v[i];
-  }
+  for (std::size_t i = 0; i < length; ++i) dot += v[i] * qtb_[k + i];
+  const double factor = 2.0 * dot / norm_sq;
+  for (std::size_t i = 0; i < length; ++i) qtb_[k + i] -= factor * v[i];
 
   // The column's own k-th entry after its reflection: alpha up to rounding,
   // computed the way a right-looking factorization computes it.
   dot = 0.0;
-  for (std::size_t i = 0; i < reflector.v.size(); ++i) {
-    dot += reflector.v[i] * work[k + i];
-  }
-  const double self_factor = 2.0 * dot / reflector.norm_sq;
-  reflected_diagonal_.push_back(work[k] - self_factor * reflector.v[0]);
-
-  r_col.push_back(alpha);
-  r_columns_.push_back(std::move(r_col));
-  reflectors_.push_back(std::move(reflector));
+  for (std::size_t i = 0; i < length; ++i) dot += v[i] * work[k + i];
+  const double self_factor = 2.0 * dot / norm_sq;
+  reflected_diagonal_.push_back(work[k] - self_factor * v[0]);
+  r_packed_.push_back(alpha);
 }
 
 void RetainedQr::solve() {
   exareq::require(!rank_deficient_, "RetainedQr::solve: rank-deficient system");
-  const std::size_t n = cols();
-  exareq::require(n >= 1 && n <= rows_, "RetainedQr::solve: bad shape");
+  const std::size_t n = cols_;
+  const std::size_t m = rows_;
+  exareq::require(n >= 1 && n <= m, "RetainedQr::solve: bad shape");
 
   // Back substitution on R x = Q^T b.
   scaled_solution_.assign(n, 0.0);
   for (std::size_t ki = n; ki-- > 0;) {
     double acc = qtb_[ki];
     for (std::size_t c = ki + 1; c < n; ++c) {
-      acc -= r_columns_[c][ki] * scaled_solution_[c];
+      acc -= r(ki, c) * scaled_solution_[c];
     }
     scaled_solution_[ki] = acc / reflected_diagonal_[ki];
   }
@@ -115,16 +123,13 @@ void RetainedQr::solve() {
   // backward stable with no kappa in sight.
   residuals_ = qtb_;
   for (std::size_t c = 0; c < n; ++c) residuals_[c] = 0.0;
-  for (std::size_t k = reflectors_.size(); k-- > 0;) {
-    const Reflector& reflector = reflectors_[k];
+  for (std::size_t k = n; k-- > 0;) {
+    const double* const v = reflectors_.data() + k * m;
+    const std::size_t length = m - k;
     double dot = 0.0;
-    for (std::size_t i = 0; i < reflector.v.size(); ++i) {
-      dot += reflector.v[i] * residuals_[reflector.start + i];
-    }
-    const double factor = 2.0 * dot / reflector.norm_sq;
-    for (std::size_t i = 0; i < reflector.v.size(); ++i) {
-      residuals_[reflector.start + i] -= factor * reflector.v[i];
-    }
+    for (std::size_t i = 0; i < length; ++i) dot += v[i] * residuals_[k + i];
+    const double factor = 2.0 * dot / reflector_norm_sq_[k];
+    for (std::size_t i = 0; i < length; ++i) residuals_[k + i] -= factor * v[i];
   }
   solved_ = true;
 }
@@ -134,44 +139,72 @@ const std::vector<double>& RetainedQr::solution() const {
   return solution_;
 }
 
-bool RetainedQr::leave_one_out(std::size_t row, std::span<double> out,
-                               double* loo_residual) const {
-  exareq::require(solved_, "RetainedQr::leave_one_out: call solve() first");
-  exareq::require(row < rows_, "RetainedQr::leave_one_out: row out of range");
-  const std::size_t n = cols();
-  exareq::require(out.size() == n, "RetainedQr::leave_one_out: output size");
-  exareq::require(rows_ > n, "RetainedQr::leave_one_out: square system");
+void RetainedQr::leave_one_out_folds(LeaveOneOutFolds& folds) const {
+  exareq::require(solved_,
+                  "RetainedQr::leave_one_out_folds: call solve() first");
+  const std::size_t n = cols_;
+  const std::size_t m = rows_;
+  exareq::require(m > n, "RetainedQr::leave_one_out_folds: square system");
+  folds.coefficients.resize(n * m);
+  folds.press.resize(m);
+  folds.singular.resize(m);
 
   // Sherman-Morrison downdate of the normal equations R^T R x = A^T b with
   // row a removed: with R^T u = a, leverage h = ||u||^2, R z = u, and
   // residual e = b_row - a . x, the leave-one-out solution is
   //   x_loo = x - z * e / (1 - h).
-  std::vector<double> u(n);
+  // Every row's fold runs at once, lane by lane: u, then z in place of u,
+  // live in the coefficient table, and h in the PRESS buffer.
+  double* const table = folds.coefficients.data();
+  double* const leverage = folds.press.data();
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = equilibrated_[i][row];
-    for (std::size_t j = 0; j < i; ++j) acc -= r_columns_[i][j] * u[j];
-    u[i] = acc / r_columns_[i][i];
+    double* const u = table + i * m;
+    const double* const a = equilibrated_.data() + i * m;
+    for (std::size_t row = 0; row < m; ++row) u[row] = a[row];
+    for (std::size_t j = 0; j < i; ++j) {
+      const double rji = r(j, i);
+      const double* const uj = table + j * m;
+      for (std::size_t row = 0; row < m; ++row) u[row] -= rji * uj[row];
+    }
+    const double diagonal = r(i, i);
+    for (std::size_t row = 0; row < m; ++row) u[row] /= diagonal;
   }
-  double leverage = 0.0;
-  for (double value : u) leverage += value * value;
+  for (std::size_t row = 0; row < m; ++row) leverage[row] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* const u = table + i * m;
+    for (std::size_t row = 0; row < m; ++row) leverage[row] += u[row] * u[row];
+  }
   // Leverage ~ 1 means this row alone pins a direction of the fit; without
   // it the system drops rank — the batched analogue of the scalar path's
   // per-fold rank deficiency.
-  if (1.0 - leverage < 1e-12) return false;
+  for (std::size_t row = 0; row < m; ++row) {
+    folds.singular[row] = 1.0 - leverage[row] < 1e-12 ? 1 : 0;
+  }
 
-  std::vector<double> z(n);
   for (std::size_t ki = n; ki-- > 0;) {
-    double acc = u[ki];
-    for (std::size_t c = ki + 1; c < n; ++c) acc -= r_columns_[c][ki] * z[c];
-    z[ki] = acc / r_columns_[ki][ki];
+    double* const z = table + ki * m;
+    for (std::size_t c = ki + 1; c < n; ++c) {
+      const double rkc = r(ki, c);
+      const double* const zc = table + c * m;
+      for (std::size_t row = 0; row < m; ++row) z[row] -= rkc * zc[row];
+    }
+    const double diagonal = r(ki, ki);
+    for (std::size_t row = 0; row < m; ++row) z[row] /= diagonal;
   }
-  const double gain = residuals_[row] / (1.0 - leverage);
+  // PRESS: b_row - a_row . x_loo = e_row / (1 - h), the gain of the
+  // downdate; it replaces the leverage in place.
+  double* const press = folds.press.data();
+  for (std::size_t row = 0; row < m; ++row) {
+    press[row] = residuals_[row] / (1.0 - leverage[row]);
+  }
   for (std::size_t c = 0; c < n; ++c) {
-    out[c] = (scaled_solution_[c] - z[c] * gain) / column_scale_[c];
+    double* const z = table + c * m;
+    const double solution = scaled_solution_[c];
+    const double scale = column_scale_[c];
+    for (std::size_t row = 0; row < m; ++row) {
+      z[row] = (solution - z[row] * press[row]) / scale;
+    }
   }
-  // PRESS: b_row - a_row . x_loo = e_row / (1 - h); `gain` is exactly that.
-  if (loo_residual != nullptr) *loo_residual = gain;
-  return true;
 }
 
 }  // namespace exareq::model

@@ -14,6 +14,23 @@
 
 namespace exareq::model {
 
+/// Every leave-one-out fold of a solved RetainedQr, written by
+/// RetainedQr::leave_one_out_folds. The caller owns and reuses it: a call
+/// resizes the buffers, which allocates only when they must grow.
+struct LeaveOneOutFolds {
+  /// Coefficient-major: coefficients[c * rows + row] is coefficient c
+  /// (original scaling) of the fit without `row`, so one coefficient's
+  /// folds are contiguous.
+  std::vector<double> coefficients;
+  /// press[row] = b_row - a_row . x_loo: the left-out row's prediction
+  /// error under its fold's fit (the PRESS residual).
+  std::vector<double> press;
+  /// Non-zero where the fold is numerically singular (the row's leverage
+  /// is within tolerance of 1); that fold's coefficients and PRESS
+  /// residual are meaningless.
+  std::vector<unsigned char> singular;
+};
+
 /// Incremental Householder least-squares factorization. Columns are
 /// appended one at a time and reduced against the retained reflectors, so
 /// the batched fitter can factor a hypothesis generation's shared
@@ -33,14 +50,23 @@ namespace exareq::model {
 /// bit-identical to that textbook QR; the downdates divide by the
 /// reflector's exact target alpha = -+||x||, which keeps a fold whose
 /// leverage is near 1 closer to a refit (on one such fold, 5e-8 relative
-/// error against 4e-6). Storage is
-/// structure-of-arrays (one contiguous vector per column / reflector),
-/// which keeps the reflector sweeps and downdates on linear, vectorizable
-/// loops.
+/// error against 4e-6).
+///
+/// Storage is flat: the equilibrated design and the reflectors are
+/// column-major with a stride of rows(), R is packed by column. restart()
+/// and copy assignment reuse that storage, so a factorization kept in a
+/// workspace allocates only while its capacity grows.
 class RetainedQr {
  public:
+  /// An empty factorization of zero rows; restart() it before use.
+  RetainedQr() = default;
+
   /// Starts an empty factorization of a `rows`-row system against `rhs`.
   RetainedQr(std::size_t rows, std::span<const double> rhs);
+
+  /// Discards every column and starts over as an empty factorization of a
+  /// `rows`-row system against `rhs`, keeping the storage.
+  void restart(std::size_t rows, std::span<const double> rhs);
 
   /// Appends one design column: equilibrates it, applies the retained
   /// reflectors in order (exactly the reflections a right-looking
@@ -51,7 +77,7 @@ class RetainedQr {
   void append_column(std::span<const double> column);
 
   std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return r_columns_.size(); }
+  std::size_t cols() const { return cols_; }
   bool rank_deficient() const { return rank_deficient_; }
 
   /// Solves R x = Q^T b and caches the residuals; call after the last
@@ -61,44 +87,48 @@ class RetainedQr {
   /// Coefficients in the original column scaling (call solve() first).
   const std::vector<double>& solution() const;
 
-  /// Coefficients of the fit with row `row` removed (original scaling), by
-  /// a Sherman-Morrison rank-one downdate of the factored system —
-  /// O(cols^2) instead of a refit. Returns false when the downdated system
-  /// is numerically singular: the row's leverage is within tolerance of 1,
-  /// so removing it would drop the rank (the analogue of the per-fold
-  /// rank-deficiency the scalar path detects). Requires solve() first.
+  /// Every leave-one-out fit at once: for each row, the coefficients of
+  /// the fit with that row removed, by a Sherman-Morrison rank-one
+  /// downdate of the factored system — O(cols^2) per row instead of a
+  /// refit — plus its PRESS residual e / (1 - h) and whether the downdated
+  /// system is numerically singular (the row's leverage is within
+  /// tolerance of 1, so removing it would drop the rank: the analogue of
+  /// the per-fold rank deficiency a refit detects). Each fold runs the
+  /// same operations in the same order as a downdate of that row alone;
+  /// the loops run across rows, so the folds vectorize. Requires solve()
+  /// and rows() > cols().
   ///
-  /// When `loo_residual` is non-null it receives the left-out row's
-  /// prediction error under the downdated fit, b_row - a_row . x_loo, via
-  /// the PRESS identity e / (1 - h). That form is exact in the factored
-  /// quantities, so prefer it over re-deriving the error from the returned
-  /// coefficients: the coefficient reconstruction cancels catastrophically
-  /// on near-exact fits, PRESS does not.
-  bool leave_one_out(std::size_t row, std::span<double> out,
-                     double* loo_residual = nullptr) const;
+  /// Prefer the PRESS residual over re-deriving the left-out error from
+  /// the coefficients: that form is exact in the factored quantities,
+  /// while the coefficient reconstruction cancels catastrophically on
+  /// near-exact fits.
+  void leave_one_out_folds(LeaveOneOutFolds& folds) const;
 
  private:
-  /// Householder reflector spanning rows [start, rows).
-  struct Reflector {
-    std::size_t start = 0;
-    double norm_sq = 0.0;
-    std::vector<double> v;
-  };
+  /// R(i, c) for i <= c, with alpha on the diagonal (what the downdates
+  /// use).
+  double r(std::size_t i, std::size_t c) const {
+    return r_packed_[c * (c + 1) / 2 + i];
+  }
 
   std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
   bool rank_deficient_ = false;
   bool solved_ = false;
-  std::vector<double> qtb_;           ///< Q^T b, updated per reflector
+  std::vector<double> qtb_;  ///< Q^T b, updated per reflector
   std::vector<double> column_scale_;
-  /// Equilibrated design, one contiguous vector per column (needed by the
-  /// downdate, which reads whole rows of the design).
-  std::vector<std::vector<double>> equilibrated_;
-  std::vector<Reflector> reflectors_;
-  /// R by column: r_columns_[c][i] = R(i, c) for i <= c, with alpha on
-  /// the diagonal (what the downdates use).
-  std::vector<std::vector<double>> r_columns_;
+  /// Equilibrated design: column c at [c * rows, (c + 1) * rows) (the
+  /// downdates read it).
+  std::vector<double> equilibrated_;
+  /// Reflector k spans rows [k, rows): its rows - k entries start at
+  /// k * rows.
+  std::vector<double> reflectors_;
+  std::vector<double> reflector_norm_sq_;
+  /// R packed by column: column c's c + 1 entries start at c (c + 1) / 2.
+  std::vector<double> r_packed_;
   /// R's diagonal as the reflection computes it (what solve() uses).
   std::vector<double> reflected_diagonal_;
+  std::vector<double> work_;             ///< append_column's column in work
   std::vector<double> scaled_solution_;  ///< in equilibrated scaling
   std::vector<double> solution_;         ///< in original scaling
   std::vector<double> residuals_;        ///< b - A~ x~ per row

@@ -26,13 +26,6 @@ void append_term(std::string& key, const Term& term) {
 
 }  // namespace
 
-std::string basis_key(const std::vector<Term>& basis) {
-  std::string key;
-  key.reserve(basis.size() * 32);
-  for (const Term& term : basis) append_term(key, term);
-  return key;
-}
-
 TermCache::TermCache(const MeasurementSet& data) : data_(&data) {
   // Fused log2 tables: one log2_clamped per (parameter, coordinate), paid
   // once up front; every factor column evaluation below reads from them.

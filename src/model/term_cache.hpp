@@ -29,10 +29,6 @@
 
 namespace exareq::model {
 
-/// Order-sensitive structural key of a term list (coefficients excluded);
-/// also used to memoize hypothesis scores in the fit engine.
-std::string basis_key(const std::vector<Term>& basis);
-
 /// Thread-safe memoized basis columns over one MeasurementSet. The set must
 /// outlive the cache.
 class TermCache {
@@ -42,7 +38,9 @@ class TermCache {
   /// Basis values of `term` at every coordinate of the data set, computed
   /// on first use as the ordered product of the term's factor columns. The
   /// returned reference stays valid for the cache's lifetime (entries are
-  /// never evicted).
+  /// never evicted), and two terms get the same column exactly when they
+  /// have the same structure (factors, in order; coefficients ignored), so
+  /// the fit engine keys its score memo by column identity.
   const std::vector<double>& column(const Term& term);
 
   /// Basis values of a single factor over the data — the SoA building

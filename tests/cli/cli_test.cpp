@@ -240,6 +240,35 @@ TEST(CliTest, LocalitySizeIsParsedAsAnInteger) {
   EXPECT_NE(zero.err.find("--size must be >= 1"), std::string::npos);
 }
 
+TEST(CliTest, FittingCommandsRejectAnUnfittableGridBeforeMeasuring) {
+  // The model generator needs five distinct values per axis; parse_int_list
+  // accepts two, so a three-value grid once measured the whole campaign
+  // and only then failed in the fitter.
+  for (const char* command : {"model", "upgrade", "strawman"}) {
+    const CliRun result = run(with_grid({command, "Kripke"}));
+    EXPECT_EQ(result.exit_code, 1) << command;
+    EXPECT_NE(result.err.find("grid axis p (--processes) has 3 distinct "
+                              "values; fitting a model needs at least 5"),
+              std::string::npos)
+        << command << ": " << result.err;
+    EXPECT_EQ(result.err.find("[measuring"), std::string::npos)
+        << command << ": " << result.err;
+    EXPECT_EQ(result.out, "") << command;
+  }
+  const CliRun sizes = run({"model", "Kripke", "--processes", "2,4,8,16,32",
+                            "--sizes", "32,64"});
+  EXPECT_EQ(sizes.exit_code, 1);
+  EXPECT_NE(sizes.err.find("grid axis n (--sizes) has 2 distinct values"),
+            std::string::npos)
+      << sizes.err;
+  EXPECT_EQ(sizes.err.find("[measuring"), std::string::npos) << sizes.err;
+  // `measure` alone keeps the two-value rule.
+  EXPECT_EQ(run({"measure", "Kripke", "--processes", "2,4", "--sizes",
+                 "32,64"})
+                .exit_code,
+            0);
+}
+
 TEST(CliTest, MissingInputFileFails) {
   const CliRun result = run({"model", "Kripke", "--in", "/nonexistent.csv"});
   EXPECT_EQ(result.exit_code, 1);
@@ -450,6 +479,29 @@ TEST(CliTest, ServeRejectsThreadsCheckpointAndResume) {
     ++answered;
   }
   EXPECT_EQ(answered, 2);
+  std::remove(requests.c_str());
+}
+
+TEST(CliTest, ServeRejectsAnUnfittableGridAtStartUp) {
+  // Each fit-on-demand request would measure the campaign and then fail in
+  // the fitter (three requests, three campaigns, three bad-request
+  // answers); serve refuses the grid before serving anything.
+  const std::string requests = "/tmp/exareq_cli_serve_grid_" +
+                               std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream file(requests);
+    for (int i = 0; i < 3; ++i) file << "eval kripke flops 64 1024\n";
+  }
+  const CliRun result = run(with_grid(
+      {"serve", "--requests", requests, "--workers", "1", "--metrics"}));
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("grid axis p (--processes) has 3 distinct values"),
+            std::string::npos)
+      << result.err;
+  EXPECT_EQ(result.out.find("error bad-request"), std::string::npos)
+      << result.out;
+  EXPECT_EQ(result.out.find("campaign.grid_points"), std::string::npos)
+      << result.out;
   std::remove(requests.c_str());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
@@ -199,10 +200,13 @@ TEST(RetainedQrTest, LeaveOneOutMatchesExplicitSubsetRefit) {
   }
   RetainedQr qr = factor(a, b);
   qr.solve();
+  LeaveOneOutFolds folds;
+  qr.leave_one_out_folds(folds);
+  ASSERT_EQ(folds.coefficients.size(), 2 * m);
+  ASSERT_EQ(folds.press.size(), m);
+  ASSERT_EQ(folds.singular.size(), m);
   for (std::size_t left_out = 0; left_out < m; ++left_out) {
-    std::vector<double> loo(2);
-    double press = 0.0;
-    ASSERT_TRUE(qr.leave_one_out(left_out, loo, &press));
+    ASSERT_EQ(folds.singular[left_out], 0) << left_out;
     // A fresh factorization of the other m - 1 rows.
     Columns sub(2);
     std::vector<double> sub_b;
@@ -214,13 +218,63 @@ TEST(RetainedQrTest, LeaveOneOutMatchesExplicitSubsetRefit) {
     }
     RetainedQr reference = factor(sub, sub_b);
     reference.solve();
-    EXPECT_NEAR(loo[0], reference.solution()[0], 1e-9);
-    EXPECT_NEAR(loo[1], reference.solution()[1], 1e-9);
+    EXPECT_NEAR(folds.coefficients[left_out], reference.solution()[0], 1e-9);
+    EXPECT_NEAR(folds.coefficients[m + left_out], reference.solution()[1],
+                1e-9);
     // The PRESS residual is the left-out row's prediction error under the
     // subset fit.
     const double predicted = reference.solution()[0] * a[0][left_out] +
                              reference.solution()[1] * a[1][left_out];
-    EXPECT_NEAR(press, b[left_out] - predicted, 1e-9);
+    EXPECT_NEAR(folds.press[left_out], b[left_out] - predicted, 1e-9);
+  }
+}
+
+TEST(RetainedQrTest, ReusedStorageMatchesAFreshFactorization) {
+  // A factorization restarted, or copy-assigned into, after it held more
+  // rows and columns keeps that storage; nothing stale may leak into the
+  // smaller system's solution or folds.
+  Rng rng(31);
+  const auto random_system = [&rng](std::size_t rows, std::size_t cols) {
+    Columns a(cols, std::vector<double>(rows));
+    std::vector<double> b(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) a[c][r] = rng.uniform(0.5, 9.0);
+      b[r] = rng.uniform(1.0, 100.0);
+    }
+    return std::make_pair(a, b);
+  };
+  const auto [big_a, big_b] = random_system(14, 4);
+  const auto [a, b] = random_system(8, 3);
+
+  RetainedQr fresh = factor(a, b);
+  fresh.solve();
+  LeaveOneOutFolds fresh_folds;
+  fresh.leave_one_out_folds(fresh_folds);
+
+  RetainedQr restarted = factor(big_a, big_b);
+  restarted.solve();
+  LeaveOneOutFolds folds;
+  restarted.leave_one_out_folds(folds);  // sized for 14 rows, 4 columns
+  restarted.restart(b.size(), b);
+  for (const std::vector<double>& column : a) restarted.append_column(column);
+  restarted.solve();
+
+  RetainedQr assigned = factor(big_a, big_b);
+  RetainedQr prefix(b.size(), b);
+  prefix.append_column(a[0]);
+  prefix.append_column(a[1]);
+  assigned = prefix;
+  assigned.append_column(a[2]);
+  assigned.solve();
+
+  for (const RetainedQr* reused : {&restarted, &assigned}) {
+    ASSERT_EQ(reused->rows(), fresh.rows());
+    ASSERT_EQ(reused->cols(), fresh.cols());
+    EXPECT_EQ(reused->solution(), fresh.solution());
+    reused->leave_one_out_folds(folds);
+    EXPECT_EQ(folds.coefficients, fresh_folds.coefficients);
+    EXPECT_EQ(folds.press, fresh_folds.press);
+    EXPECT_EQ(folds.singular, fresh_folds.singular);
   }
 }
 
@@ -245,15 +299,18 @@ TEST(RetainedQrTest, DetectsZeroColumn) {
 
 TEST(RetainedQrTest, LeverageOneRowReportsSingularDowndate) {
   // Row 3 is the only row with a nonzero second coordinate: removing it
-  // collapses the rank, so its leverage is 1 and the downdate must refuse.
+  // collapses the rank, so its leverage is 1 and its fold is singular.
   const std::vector<double> b{1.0, 1.1, 0.9, 7.0};
   const Columns a{{1.0, 1.0, 1.0, 1.0}, {0.0, 0.0, 0.0, 1.0}};
   RetainedQr qr = factor(a, b);
   ASSERT_FALSE(qr.rank_deficient());
   qr.solve();
-  std::vector<double> loo(2);
-  EXPECT_FALSE(qr.leave_one_out(3, loo));
-  EXPECT_TRUE(qr.leave_one_out(0, loo));
+  LeaveOneOutFolds folds;
+  qr.leave_one_out_folds(folds);
+  EXPECT_NE(folds.singular[3], 0);
+  EXPECT_EQ(folds.singular[0], 0);
+  EXPECT_EQ(folds.singular[1], 0);
+  EXPECT_EQ(folds.singular[2], 0);
 }
 
 TEST(RetainedQrTest, ValidatesArguments) {
@@ -263,12 +320,18 @@ TEST(RetainedQrTest, ValidatesArguments) {
                exareq::InvalidArgument);
   EXPECT_THROW(qr.solve(), exareq::InvalidArgument);  // no columns yet
   qr.append_column(std::vector<double>{1.0, 1.0, 1.0});
-  std::vector<double> out(1);
-  EXPECT_THROW(qr.leave_one_out(0, out), exareq::InvalidArgument);  // unsolved
+  LeaveOneOutFolds folds;
+  // Unsolved.
+  EXPECT_THROW(qr.leave_one_out_folds(folds), exareq::InvalidArgument);
   qr.solve();
-  EXPECT_THROW(qr.leave_one_out(3, out), exareq::InvalidArgument);  // row range
   EXPECT_THROW(qr.append_column(std::vector<double>{1.0, 2.0, 3.0}),
                exareq::InvalidArgument);  // append after solve
+  EXPECT_THROW(qr.restart(2, b), exareq::InvalidArgument);  // rhs size
+  // A square system has no spare row to leave out.
+  RetainedQr square(1, std::vector<double>{2.0});
+  square.append_column(std::vector<double>{1.0});
+  square.solve();
+  EXPECT_THROW(square.leave_one_out_folds(folds), exareq::InvalidArgument);
 }
 
 }  // namespace
