@@ -287,9 +287,6 @@ int cmd_upgrade(const apps::Application& app, const Flags& flags,
   const codesign::SystemSkeleton base{
       flags.number("base-processes", 65536.0),
       flags.number("base-memory", 2147483648.0)};
-  out << "Upgrade study for " << app.name() << " (baseline: "
-      << format_compact(base.processes) << " processes, "
-      << format_bytes(base.memory_per_process) << " each)\n";
   TextTable table({"Upgrade", "n'/n", "Overall", "Compute", "Comm",
                    "Mem access"});
   for (const auto& upgrade : codesign::paper_upgrades()) {
@@ -300,6 +297,9 @@ int cmd_upgrade(const apps::Application& app, const Flags& flags,
                    format_fixed(outcome.communication_ratio, 2),
                    format_fixed(outcome.memory_access_ratio, 2)});
   }
+  out << "Upgrade study for " << app.name() << " (baseline: "
+      << format_compact(base.processes) << " processes, "
+      << format_bytes(base.memory_per_process) << " each)\n";
   out << table.render();
   return 0;
 }
@@ -429,6 +429,45 @@ std::vector<std::string> split_paths(const std::string& text) {
   return paths;
 }
 
+/// A request file as `serve --requests` and `query --requests` read it: one
+/// request a line, blank lines and `#` comments skipped. A line that does
+/// not parse is answered in place with `error bad-request: ...`; the others
+/// go out as one batch.
+struct RequestFile {
+  std::vector<serve::Request> batch;   ///< the lines that parse, in order
+  std::vector<std::size_t> positions;  ///< the line batch[i] answers
+  std::vector<std::string> responses;  ///< one per line; bad lines filled in
+
+  /// Puts each batch answer at its line's position; returns every line's.
+  const std::vector<std::string>& answer(
+      const std::vector<std::string>& answers) {
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      responses[positions[i]] = answers[i];
+    }
+    return responses;
+  }
+};
+
+RequestFile read_request_file(const std::string& path) {
+  std::ifstream file(path);
+  exareq::require(file.good(), "cannot open request file '" + path + "'");
+  RequestFile requests;
+  std::string line;
+  while (std::getline(file, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    try {
+      requests.batch.push_back(serve::parse_request(line));
+    } catch (const exareq::Error& error) {
+      requests.responses.push_back(
+          serve::error_response("bad-request", error.what()));
+      continue;
+    }
+    requests.positions.push_back(requests.responses.size());
+    requests.responses.emplace_back();
+  }
+  return requests;
+}
+
 /// Online ingest/refit knobs (see docs/ONLINE.md).
 online::OnlineServiceOptions online_options(const Flags& flags) {
   online::OnlineServiceOptions options;
@@ -492,38 +531,18 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
                   "--tcp PORT");
 
   if (requests.has_value()) {
-    std::ifstream file(*requests);
-    exareq::require(file.good(),
-                    "cannot open request file '" + *requests + "'");
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(file, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      lines.push_back(line);
-    }
     // The whole file goes down as one batch — parsed once, bucketed by
     // shard, buckets answered in parallel, responses in request order.
     // Malformed lines answer in place without failing the batch.
-    std::vector<std::string> responses(lines.size());
-    std::vector<serve::Request> batch;
-    std::vector<std::size_t> positions;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      try {
-        batch.push_back(serve::parse_request(lines[i]));
-        positions.push_back(i);
-      } catch (const exareq::Error& error) {
-        responses[i] = serve::error_response("bad-request", error.what());
-      }
+    RequestFile file = read_request_file(*requests);
+    const std::vector<std::string> answers = server.submit_batch(file.batch);
+    for (const std::string& response : file.answer(answers)) {
+      out << response << "\n";
     }
-    const std::vector<std::string> answers = server.submit_batch(batch);
-    for (std::size_t i = 0; i < answers.size(); ++i) {
-      responses[positions[i]] = answers[i];
-    }
-    for (const std::string& response : responses) out << response << "\n";
     // Batch mode is often scripted (ingest rows then read --status); a
     // drain makes every accepted row's refit visible before the report.
     drain_online();
-    err << "served " << responses.size() << " requests across "
+    err << "served " << file.responses.size() << " requests across "
         << server.shard_count() << " shards\n";
   }
 
@@ -583,32 +602,26 @@ int cmd_query(const Flags& flags, std::ostream& out) {
   }
 
   // Binary path (--binary, or implied by --requests): every request rides
-  // in one frame, decoded once server-side and bucketed across shards.
-  std::vector<std::string> lines;
+  // in one frame, decoded once server-side and bucketed across shards. A
+  // file's malformed lines answer in place, as under `serve --requests`; a
+  // single --binary line the client cannot encode fails client-side.
+  RequestFile file;
   if (request.has_value()) {
-    lines.push_back(*request);
+    file.batch.push_back(serve::parse_request(*request));
+    file.positions.push_back(0);
+    file.responses.emplace_back();
   } else {
-    std::ifstream file(*requests_file);
-    exareq::require(file.good(),
-                    "cannot open request file '" + *requests_file + "'");
-    std::string line;
-    while (std::getline(file, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      lines.push_back(line);
-    }
+    file = read_request_file(*requests_file);
   }
-  std::vector<serve::Request> batch;
-  batch.reserve(lines.size());
-  for (const std::string& line : lines) {
-    batch.push_back(serve::parse_request(line));
+  std::vector<std::string> answers;
+  if (!file.batch.empty()) {
+    answers = socket_path.has_value()
+                  ? serve::query_batch_over_socket(*socket_path, file.batch)
+                  : serve::query_batch_over_tcp(
+                        host, static_cast<int>(tcp_port), file.batch);
   }
-  const std::vector<std::string> responses =
-      socket_path.has_value()
-          ? serve::query_batch_over_socket(*socket_path, batch)
-          : serve::query_batch_over_tcp(host, static_cast<int>(tcp_port),
-                                        batch);
   bool all_ok = true;
-  for (const std::string& response : responses) {
+  for (const std::string& response : file.answer(answers)) {
     out << response << "\n";
     if (response.rfind("ok", 0) != 0) all_ok = false;
   }

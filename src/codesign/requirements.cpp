@@ -1,5 +1,7 @@
 #include "codesign/requirements.hpp"
 
+#include <cmath>
+
 #include "support/error.hpp"
 
 namespace exareq::codesign {
@@ -48,6 +50,10 @@ FilledSystem fill_memory(const AppRequirements& app, const SystemSkeleton& syste
                   "fill_memory: system needs at least one process");
   exareq::require(system.memory_per_process > 0.0,
                   "fill_memory: memory per process must be positive");
+  exareq::require(std::isfinite(system.processes) &&
+                      std::isfinite(system.memory_per_process),
+                  "fill_memory: process count and memory per process must be "
+                  "finite");
   const double coordinate[] = {system.processes, 1.0};
   const double n = model::invert_model_in_parameter(
       app.footprint, 1, coordinate, system.memory_per_process, options);

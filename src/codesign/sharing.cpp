@@ -9,7 +9,9 @@ namespace exareq::codesign {
 std::vector<ShareOutcome> space_share(std::span<const ShareRequest> requests,
                                       const SystemSkeleton& system) {
   exareq::require(!requests.empty(), "space_share: no applications");
-  exareq::require(system.processes >= 1.0 && system.memory_per_process > 0.0,
+  exareq::require(system.processes >= 1.0 && system.memory_per_process > 0.0 &&
+                      std::isfinite(system.processes) &&
+                      std::isfinite(system.memory_per_process),
                   "space_share: invalid system skeleton");
   double total_fraction = 0.0;
   for (const ShareRequest& request : requests) {

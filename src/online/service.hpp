@@ -1,19 +1,36 @@
 // OnlineService: the always-on half of `exareq serve`.
 //
-// One service owns the whole streaming loop: ingest requests (parsed and
-// validated by online/ingest.hpp) are staged in an IngestBuffer, a single
-// background worker picks up due keys per the refit policy and runs the
-// IncrementalRefitter, and every successful refit hot-swaps the registry's
+// One service owns the whole streaming loop and every online row: ingest
+// requests (parsed and validated by online/ingest.hpp) stage rows per
+// application, a single background worker refits applications the refit
+// policy declares due, and every successful refit hot-swaps the registry's
 // VersionedModel slot while queries keep being answered. The server stays
 // decoupled: it only sees the serve::OnlineHooks bundle (`hooks()`), which
 // routes `ingest` requests here and hands `status` the online counters.
+//
+// All per-application state (pending rows, the oldest pending row's
+// arrival, the first-ingested name, the dataset of record and the queued
+// flag) lives in one map under one mutex. The worker takes an application's
+// pending rows only after it holds the registry's single-flight gate for
+// that application, so a query-triggered fit in progress leaves the rows
+// pending, counted and ageing, until the gate frees.
+//
+// A refit is always a full fit over the dataset of record (every row ever
+// accepted) in canonical row order. "Incremental" refers to when fits
+// happen, not to an approximate update: PMNF model selection is a discrete
+// hypothesis search, so the only way the served model is guaranteed to
+// equal a cold fit on the concatenated data (the differential-oracle
+// contract) is to refit from the full canonical dataset. On fit failure the
+// previous version stays current; on a quality regression beyond the
+// configured tolerance the fresh version is rolled back.
 //
 // One worker, not a pool: refits are serialized so at most one model fit
 // runs off the query path at a time (the fit engine itself is serial — the
 // process-wide shared pool admits one top-level client, which the server's
 // fit-on-demand may already be), and a second concurrent refit would only
-// compete for the same cores the query workers need. Keys queue and are
-// deduplicated, so a burst of ingests costs one refit, not one per batch.
+// compete for the same cores the query workers need. A refit takes every
+// row pending for its application, so a burst of ingests costs one refit,
+// not one per batch.
 //
 // Observability: counters online.rows_ingested / online.refits /
 // online.refit_failures / online.rollbacks, gauges online.rows_pending /
@@ -21,42 +38,62 @@
 // "online" (see docs/OBSERVABILITY.md).
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
-#include <deque>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "online/ingest_buffer.hpp"
-#include "online/refitter.hpp"
 #include "online/stats.hpp"
+#include "pipeline/serve_bridge.hpp"
 #include "serve/registry.hpp"
 #include "serve/sharded_server.hpp"
 
 namespace exareq::online {
 
+/// When the worker refits an application, and how much it may stage.
+struct RefitPolicy {
+  /// Pending rows that make an app due; 0 disables the row-count trigger.
+  std::size_t refit_rows = 25;
+  /// Age of the oldest pending row that makes an app due; 0 disables.
+  std::chrono::milliseconds max_staleness{0};
+  /// Hard per-app bound; a batch that would exceed it is rejected.
+  std::size_t max_pending_rows = 4096;
+};
+
+struct RefitOptions {
+  /// Search space and fit configuration (threads forced to 1 by the fit).
+  model::GeneratorOptions generator;
+  /// Allowed increase of mean absolute relative error over the previous
+  /// version before the new one is rolled back; 0 disables the guard
+  /// (required for bit-exact cold-fit equivalence, hence the default).
+  double max_quality_regression = 0.0;
+};
+
 struct OnlineServiceOptions {
   RefitPolicy policy;
-  RefitterOptions refit;
+  RefitOptions refit;
 };
 
 class OnlineService {
  public:
-  /// Test seam: runs on the worker after it dequeued `key` and before it
-  /// takes the key's staged rows — the window in which a concurrent
-  /// drain() or ingest can queue the same key again.
-  using BeforeTake = std::function<void(const std::string& key)>;
+  /// Fits a bundle from an in-memory campaign; injectable so failure and
+  /// regression paths are testable without a pathological dataset. Empty =
+  /// pipeline::fit_requirement_bundle with `options.refit.generator`.
+  using FitFn =
+      std::function<pipeline::FittedBundle(const pipeline::CampaignData&)>;
+  using Clock = std::function<std::chrono::steady_clock::time_point()>;
 
-  /// `registry` must outlive the service. `fit`/`clock`/`before_take` are
-  /// test seams (empty = real fitter / steady_clock / nothing).
+  /// `registry` must outlive the service. `fit`/`clock` are test seams
+  /// (empty = real fitter / steady_clock).
   explicit OnlineService(serve::ModelRegistry& registry,
-                         OnlineServiceOptions options = {},
-                         IncrementalRefitter::FitFn fit = {},
-                         IngestBuffer::Clock clock = {},
-                         BeforeTake before_take = {});
+                         OnlineServiceOptions options = {}, FitFn fit = {},
+                         Clock clock = {});
   ~OnlineService();
 
   OnlineService(const OnlineService&) = delete;
@@ -84,28 +121,46 @@ class OnlineService {
   const OnlineServiceOptions& options() const { return options_; }
 
  private:
+  /// One application's online rows, keyed by lower-cased name in `apps_`.
+  struct AppRows {
+    std::string name;  ///< first-ingested spelling; names a first version
+    std::vector<pipeline::AppMeasurement> pending;  ///< not yet refitted
+    std::chrono::steady_clock::time_point oldest{};  ///< first pending row
+    bool queued = false;  ///< the row trigger or a drain asked for a refit
+    /// Every refitted row, in canonical order. Only the worker touches it,
+    /// and it does so with the mutex released.
+    pipeline::CampaignData dataset;
+  };
+
+  /// What one refit did.
+  struct Refit {
+    bool published = false;
+    bool rolled_back = false;
+    bool failed = false;
+    std::uint64_t version = 0;
+  };
+
   void worker_loop();
-  void enqueue_key(const std::string& key);
-  void publish_gauges();
+  bool due(const AppRows& app,
+           std::chrono::steady_clock::time_point now) const;
+  /// Fits `app`'s dataset of record after appending `rows`, and publishes
+  /// it. The caller holds the app's single-flight gate; this releases it.
+  Refit refit(const std::string& key, AppRows& app,
+              std::vector<pipeline::AppMeasurement> rows);
+  /// Counters plus the pending rows and worst staleness; needs `mutex_`.
+  OnlineStats snapshot_locked() const;
 
   serve::ModelRegistry& registry_;
   OnlineServiceOptions options_;
-  IngestBuffer buffer_;
-  IncrementalRefitter refitter_;
-  BeforeTake before_take_;
+  FitFn fit_;
+  Clock clock_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable idle_;
-  std::deque<std::string> queue_;
-  std::set<std::string> queued_;  ///< dedupe: a key is queued at most once
-  /// Queued keys whose single-flight gate was busy: their rows are already
-  /// in the refitter, so the next pass refits even when it takes none.
-  std::set<std::string> retry_;
-  /// Key -> the app name as first ingested; a refit of a model the
-  /// registry does not hold yet publishes under it.
-  std::map<std::string, std::string> names_;
-  bool busy_ = false;             ///< worker is mid-refit
+  std::map<std::string, AppRows> apps_;
+  std::string last_refit_;  ///< the worker resumes its scan after this key
+  bool busy_ = false;       ///< worker is mid-refit
   bool stopping_ = false;
   OnlineStats stats_;
 

@@ -341,17 +341,18 @@ CampaignData run_campaign(const apps::Application& app,
   LocalityOptions no_locality = config.locality;
   no_locality.enabled = false;
 
-  // Task ids double as the scheduling priority (both run_serial and the
-  // pooled min-heap prefer smaller ids), so tasks are created in per-n
-  // blocks — measurements, then the locality trace, then the checkpoint
-  // appends of that n. A killed checkpointed campaign therefore leaves the
-  // finished problem sizes on disk instead of batching every append behind
-  // the whole grid's measurements. The blocks run from the largest problem
-  // size down, and each block's measurements from the largest process count
-  // down: a grid point's cost grows with both, so the most expensive point
-  // starts first and the campaign's wall time tracks it instead of a tail
-  // where it runs alone. The order is by value, not by position in the
-  // grid; slots stay row-major in the grid's own order.
+  // Task ids double as the scheduling priority (the ready min-heap prefers
+  // smaller ids, and on one thread runs them in id order), so tasks are
+  // created in per-n blocks — measurements, then the locality trace, then
+  // the checkpoint appends of that n. A killed checkpointed campaign
+  // therefore leaves the finished problem sizes on disk instead of batching
+  // every append behind the whole grid's measurements. The blocks run from
+  // the largest problem size down, and each block's measurements from the
+  // largest process count down: a grid point's cost grows with both, so
+  // the most expensive point starts first and the campaign's wall time
+  // tracks it instead of a tail where it runs alone. The order is by value,
+  // not by position in the grid; slots stay row-major in the grid's own
+  // order.
   const std::vector<std::size_t> n_order =
       largest_first(config.problem_sizes);
   const std::vector<std::size_t> p_order =
@@ -430,7 +431,10 @@ CampaignData run_campaign(const apps::Application& app,
   std::size_t threads = config.threads;
   if (threads == 0) threads = exareq::ThreadPool::hardware_threads();
   if (threads <= 1) {
-    dag.run_serial();
+    // A local pool, not shared_pool(1): the shared pool rebuilds itself
+    // whenever a caller asks for another size.
+    exareq::ThreadPool pool(1);
+    dag.run(pool);
   } else {
     dag.run(exareq::shared_pool(threads));
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -71,6 +72,8 @@ void validate_request(const Request& request) {
       }
       exareq::require(request.p >= 1.0 && request.n >= 1.0,
                       "eval coordinates must be >= 1");
+      exareq::require(std::isfinite(request.p) && std::isfinite(request.n),
+                      "eval coordinates must be finite");
       break;
     }
     case RequestKind::kInvert:
@@ -78,6 +81,9 @@ void validate_request(const Request& request) {
       exareq::require(request.processes >= 1.0, "process count must be >= 1");
       exareq::require(request.memory_per_process > 0.0,
                       "memory per process must be positive");
+      exareq::require(std::isfinite(request.processes) &&
+                          std::isfinite(request.memory_per_process),
+                      "process count and memory per process must be finite");
       break;
     case RequestKind::kIngest:
       exareq::require(!request.payload.empty(),

@@ -10,7 +10,7 @@
 // several queries miss the same application concurrently, exactly one
 // thread runs the fit while the others wait on it and share the result —
 // the fit is seconds of work, so stampeding it would multiply the service's
-// heaviest operation. The online refitter reuses the same gate
+// heaviest operation. The online service's refits reuse the same gate
 // (`try_begin_fit`/`end_fit`), so a background refit and a query-triggered
 // fit of the same application never race.
 //
@@ -112,7 +112,7 @@ class ModelRegistry {
   bool rollback(const std::string& app);
 
   /// Single-flight gate, shared between query-triggered fit-on-demand and
-  /// the online refitter: returns true when the caller acquired the
+  /// the online service's refits: returns true when the caller acquired the
   /// exclusive right to fit `app` (it must call `end_fit` when done),
   /// false when another fit for the same app is already in flight.
   bool try_begin_fit(const std::string& app);

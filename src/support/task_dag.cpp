@@ -83,24 +83,6 @@ void TaskDag::finish_run() const {
   // Non-std exceptions carry no message to augment; propagate unchanged.
 }
 
-void TaskDag::run_serial() {
-  for (Task& task : tasks_) {
-    if (task.skipped) {
-      for (const std::size_t dependent : task.dependents) {
-        tasks_[dependent].skipped = true;
-      }
-      continue;
-    }
-    execute(task);
-    if (task.error) {
-      for (const std::size_t dependent : task.dependents) {
-        tasks_[dependent].skipped = true;
-      }
-    }
-  }
-  finish_run();
-}
-
 void TaskDag::run(ThreadPool& pool) {
   const std::size_t count = tasks_.size();
   if (count == 0) return;

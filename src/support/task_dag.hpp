@@ -2,13 +2,14 @@
 //
 // A TaskDag holds numbered tasks plus edges "task t may only start after
 // prereq q". Edges must point backwards (q < t), which makes the graph
-// acyclic by construction and task-id order a valid topological order —
-// run_serial() simply executes tasks in id order, and run(pool) schedules
-// every task whose prerequisites have settled onto the pool.
+// acyclic by construction and task-id order a valid topological order.
+// run(pool) schedules every task whose prerequisites have settled onto the
+// pool, smallest ready id first; on a ThreadPool(1), which has no workers,
+// that executes the tasks inline in id order.
 //
 // The determinism contract matches ThreadPool::parallel_for: every task must
 // write only into its own preallocated slot, so the combined result is
-// bit-identical between run_serial() and run(pool) at any thread count.
+// bit-identical at any thread count.
 //
 // Failure model: a throwing task marks itself failed; its transitive
 // dependents are skipped (never started), but all independent tasks still
@@ -48,9 +49,6 @@ class TaskDag {
   void depend(std::size_t task, std::size_t prereq);
 
   std::size_t size() const { return tasks_.size(); }
-
-  /// Executes all tasks in id order on the calling thread.
-  void run_serial();
 
   /// Executes all tasks on `pool`, respecting dependencies. Blocks until
   /// every task has settled (finished, failed, or been skipped).

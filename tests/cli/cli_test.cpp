@@ -11,6 +11,8 @@
 
 #include "../serve/serve_test_util.hpp"
 #include "model/serialize.hpp"
+#include "serve/frontend.hpp"
+#include "serve/sharded_server.hpp"
 #include "support/error.hpp"
 
 namespace exareq::cli {
@@ -186,6 +188,26 @@ TEST(CliTest, MeasureThenAnalyzeFromFile) {
   EXPECT_NE(strawman.out.find("Massively parallel"), std::string::npos);
   EXPECT_NE(strawman.out.find("yes"), std::string::npos);
 
+  std::remove(path.c_str());
+}
+
+TEST(CliTest, UpgradeRejectsANonFiniteBaseline) {
+  // `inf` passes a `>= 1` check; the study then printed a table of NaNs
+  // and exited 0.
+  const std::string path = "/tmp/exareq_cli_upgrade_inf_" +
+                           std::to_string(::getpid()) + ".csv";
+  const CliRun measured =
+      run({"measure", "Kripke", "--processes", "2,4,8,16,32", "--sizes",
+           "16,32,64,128,256", "--out", path});
+  ASSERT_EQ(measured.exit_code, 0) << measured.err;
+  for (const char* flag : {"--base-processes", "--base-memory"}) {
+    const CliRun upgraded =
+        run({"upgrade", "Kripke", "--in", path, flag, "inf"});
+    EXPECT_EQ(upgraded.exit_code, 1) << flag;
+    EXPECT_NE(upgraded.err.find("must be finite"), std::string::npos)
+        << upgraded.err;
+    EXPECT_EQ(upgraded.out, "") << flag;
+  }
   std::remove(path.c_str());
 }
 
@@ -511,6 +533,54 @@ TEST(CliTest, ServeWithoutSinkFailsWithMessage) {
   EXPECT_NE(result.err.find("--requests FILE, --socket PATH, and/or --tcp"),
             std::string::npos)
       << result.err;
+}
+
+TEST(CliTest, QueryAnswersAMalformedRequestLineInPlace) {
+  // `query --requests` sends the lines that parse as one binary frame and
+  // answers each bad line in place, as `serve --requests` does.
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 2});
+  server.insert(serve::testing::make_test_requirements("lulesh"));
+  const std::string socket =
+      "/tmp/exareq_cli_query_" + std::to_string(::getpid()) + ".sock";
+  serve::FrontEnd front(server, serve::FrontEndOptions{.unix_path = socket});
+  front.start();
+  const std::string requests =
+      "/tmp/exareq_cli_query_" + std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream file(requests);
+    file << "# comment lines and blanks are skipped\n"
+         << "\n"
+         << "eval lulesh flops 64 100\n"
+         << "definitely not a verb\n"
+         << "eval lulesh footprint 64 inf\n"
+         << "eval lulesh footprint 64 100\n";
+  }
+  const CliRun result =
+      run({"query", "--socket", socket, "--requests", requests});
+  EXPECT_EQ(result.exit_code, 1) << result.err;
+  std::vector<std::string> lines;
+  std::stringstream stream(result.out);
+  std::string line;
+  while (std::getline(stream, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u) << result.out << result.err;
+  EXPECT_EQ(lines[0], server.handle_line("eval lulesh flops 64 100"));
+  EXPECT_EQ(lines[1].rfind("error bad-request: unknown request", 0), 0u)
+      << lines[1];
+  EXPECT_EQ(lines[2], "error bad-request: eval coordinates must be finite");
+  EXPECT_EQ(lines[3], server.handle_line("eval lulesh footprint 64 100"));
+
+  // Without the bad lines every answer is ok and the exit code is 0.
+  {
+    std::ofstream file(requests);
+    file << "eval lulesh flops 64 100\n";
+  }
+  const CliRun clean =
+      run({"query", "--socket", socket, "--requests", requests});
+  EXPECT_EQ(clean.exit_code, 0) << clean.err;
+  EXPECT_EQ(clean.out, lines[0] + "\n");
+  front.stop();
+  server.stop();
+  std::remove(requests.c_str());
 }
 
 TEST(CliTest, QueryValidatesItsFlagCombinations) {

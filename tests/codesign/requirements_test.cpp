@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace exareq::codesign {
@@ -100,6 +102,14 @@ TEST(RequirementsTest, FillMemoryValidatesSkeleton) {
   const AppRequirements app = linear_app();
   EXPECT_THROW(fill_memory(app, {0.0, 1e6}), exareq::InvalidArgument);
   EXPECT_THROW(fill_memory(app, {8.0, 0.0}), exareq::InvalidArgument);
+}
+
+TEST(RequirementsTest, FillMemoryRejectsNonFiniteSkeleton) {
+  // Infinity passes `>= 1` and `> 0`; the fill would yield NaN ratios.
+  const AppRequirements app = linear_app();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(fill_memory(app, {inf, 1e6}), exareq::InvalidArgument);
+  EXPECT_THROW(fill_memory(app, {8.0, inf}), exareq::InvalidArgument);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace exareq::codesign {
@@ -80,6 +82,16 @@ TEST(SharingTest, ValidatesArguments) {
   EXPECT_THROW(space_share(null_app, kMachine), exareq::InvalidArgument);
   EXPECT_THROW(space_share({}, kMachine), exareq::InvalidArgument);
   EXPECT_THROW(space_share_pair(app, app, 1.5, kMachine),
+               exareq::InvalidArgument);
+}
+
+TEST(SharingTest, RejectsNonFiniteSkeleton) {
+  const AppRequirements app = app_with_footprint("a", linear_footprint(10.0));
+  const ShareRequest requests[] = {{&app, 0.5}};
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(space_share(requests, SystemSkeleton{inf, 1e6}),
+               exareq::InvalidArgument);
+  EXPECT_THROW(space_share(requests, SystemSkeleton{100.0, inf}),
                exareq::InvalidArgument);
 }
 

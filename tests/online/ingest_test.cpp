@@ -1,12 +1,10 @@
-// Ingest payload validation (wire -> rows) and the bounded staging buffer.
+// Ingest payload validation (wire -> rows).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <string>
 #include <vector>
 
 #include "online/ingest.hpp"
-#include "online/ingest_buffer.hpp"
 #include "support/error.hpp"
 
 namespace exareq::online {
@@ -88,73 +86,6 @@ TEST(OnlineIngestTest, ErrorsNameTheOffendingRow) {
     EXPECT_NE(std::string(error.what()).find("row 2"), std::string::npos)
         << error.what();
   }
-}
-
-pipeline::AppMeasurement row(int p, std::int64_t n) {
-  pipeline::AppMeasurement m;
-  m.processes = p;
-  m.problem_size = n;
-  return m;
-}
-
-TEST(OnlineIngestBufferTest, RowCountThresholdMakesKeyDue) {
-  RefitPolicy policy;
-  policy.refit_rows = 3;
-  IngestBuffer buffer(policy);
-  EXPECT_EQ(buffer.add("app", {row(4, 64), row(8, 64)}), 2u);
-  EXPECT_TRUE(buffer.due_keys().empty());
-  EXPECT_EQ(buffer.add("app", {row(16, 64)}), 3u);
-  ASSERT_EQ(buffer.due_keys().size(), 1u);
-  EXPECT_EQ(buffer.due_keys()[0], "app");
-  EXPECT_EQ(buffer.total_pending(), 3u);
-
-  const auto taken = buffer.take("app");
-  EXPECT_EQ(taken.size(), 3u);
-  EXPECT_EQ(buffer.total_pending(), 0u);
-  EXPECT_TRUE(buffer.due_keys().empty());
-}
-
-TEST(OnlineIngestBufferTest, StalenessMakesKeyDueUnderInjectedClock) {
-  RefitPolicy policy;
-  policy.refit_rows = 0;  // only the staleness trigger
-  policy.max_staleness = std::chrono::milliseconds(100);
-  auto now = std::chrono::steady_clock::time_point{};
-  IngestBuffer buffer(policy, [&now] { return now; });
-  buffer.add("app", {row(4, 64)});
-  EXPECT_TRUE(buffer.due_keys().empty());
-  EXPECT_DOUBLE_EQ(buffer.staleness_seconds("app"), 0.0);
-
-  now += std::chrono::milliseconds(250);
-  ASSERT_EQ(buffer.due_keys().size(), 1u);
-  EXPECT_DOUBLE_EQ(buffer.staleness_seconds("app"), 0.25);
-  EXPECT_DOUBLE_EQ(buffer.max_staleness_seconds(), 0.25);
-}
-
-TEST(OnlineIngestBufferTest, BoundedMemoryRejectsOverflowingBatch) {
-  RefitPolicy policy;
-  policy.max_pending_rows = 3;
-  IngestBuffer buffer(policy);
-  buffer.add("app", {row(4, 64), row(8, 64)});
-  EXPECT_THROW(buffer.add("app", {row(16, 64), row(32, 64)}),
-               exareq::InvalidArgument);
-  // The rejected batch left nothing behind.
-  EXPECT_EQ(buffer.pending("app"), 2u);
-  // A fitting batch still goes through.
-  EXPECT_EQ(buffer.add("app", {row(16, 64)}), 3u);
-}
-
-TEST(OnlineIngestBufferTest, KeysAreIndependent) {
-  RefitPolicy policy;
-  policy.refit_rows = 2;
-  IngestBuffer buffer(policy);
-  buffer.add("a", {row(4, 64)});
-  buffer.add("b", {row(4, 64), row(8, 64)});
-  const auto due = buffer.due_keys();
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0], "b");
-  const auto pending = buffer.pending_keys();
-  ASSERT_EQ(pending.size(), 2u);
-  EXPECT_EQ(buffer.total_pending(), 3u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "../serve/serve_test_util.hpp"
-#include "online/refitter.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sharded_server.hpp"
@@ -34,20 +34,22 @@ std::string ingest_line(const std::string& app, int rows, int p0 = 4) {
   return line;
 }
 
-/// A fit seam that records how many rows each fit saw and returns a
-/// synthetic bundle with a scripted quality sequence.
+/// A fit seam that records how many rows each fit saw, and of which app,
+/// and returns a synthetic bundle with a scripted quality sequence.
 struct ScriptedFitter {
   std::vector<double> qualities{0.1};
   std::atomic<int> calls{0};
   std::mutex mutex;
   std::vector<std::size_t> rows_seen;
+  std::vector<std::string> apps_seen;
 
-  IncrementalRefitter::FitFn fn() {
+  OnlineService::FitFn fn() {
     return [this](const pipeline::CampaignData& data) {
       const int call = calls.fetch_add(1);
       {
         std::lock_guard<std::mutex> lock(mutex);
         rows_seen.push_back(data.measurements.size());
+        apps_seen.push_back(data.app_name);
       }
       pipeline::FittedBundle bundle;
       bundle.requirements =
@@ -59,6 +61,35 @@ struct ScriptedFitter {
     };
   }
 };
+
+/// A clock the test advances by hand while the worker reads it.
+struct ManualClock {
+  std::mutex mutex;
+  std::chrono::steady_clock::time_point now{};
+
+  void advance(std::chrono::milliseconds by) {
+    std::lock_guard<std::mutex> lock(mutex);
+    now += by;
+  }
+  OnlineService::Clock fn() {
+    return [this] {
+      std::lock_guard<std::mutex> lock(mutex);
+      return now;
+    };
+  }
+};
+
+/// Polls `done` for up to five seconds: the worker refits asynchronously.
+template <typename Done>
+bool wait_until(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   serve::ShardedServer server(serve::ShardedServerOptions{.shards = 1});
@@ -101,39 +132,187 @@ TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   server.stop();
 }
 
-TEST(OnlineServiceTest, KeyQueuedAgainBeforeTakeRefitsOnce) {
-  // The worker erases a dequeued key from its queue before it takes the
-  // key's rows. The seam holds that window open on every run and ingests a
-  // second batch for the key inside it, which queues the key again — as a
-  // concurrent drain() does. The first pass then takes both batches, so
-  // the second pass takes no rows and must not refit.
+TEST(OnlineServiceTest, ConcurrentIngestAndDrainRefitOnlyOnNewRows) {
+  // An ingester and a draining thread race on one app. A refit runs only
+  // on rows that no earlier refit took, so every refit's dataset is
+  // strictly larger than the last one and the final one holds every row.
+  serve::ModelRegistry registry;
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 2;
+  ScriptedFitter fitter;
+  OnlineService service(registry, options, fitter.fn());
+
+  std::atomic<bool> ingesting{true};
+  std::thread drainer([&service, &ingesting] {
+    while (ingesting.load()) service.drain();
+  });
+  std::size_t total = 0;
+  for (int i = 0; i < 60; ++i) {
+    const int rows = 1 + i % 3;
+    const std::string response = service.handle_ingest(
+        serve::parse_request(ingest_line("app", rows, 4 + i)));
+    EXPECT_EQ(response.rfind("ok ingest", 0), 0u) << response;
+    total += static_cast<std::size_t>(rows);
+  }
+  ingesting.store(false);
+  drainer.join();
+  service.drain();
+
+  const OnlineStats stats = service.stats();
+  EXPECT_EQ(stats.rows_pending, 0u);
+  ASSERT_FALSE(fitter.rows_seen.empty());
+  EXPECT_EQ(stats.refits, fitter.rows_seen.size());
+  for (std::size_t i = 1; i < fitter.rows_seen.size(); ++i) {
+    EXPECT_GT(fitter.rows_seen[i], fitter.rows_seen[i - 1]) << "refit " << i;
+  }
+  EXPECT_EQ(fitter.rows_seen.back(), total);
+  ASSERT_NE(registry.version_of("app"), nullptr);
+  EXPECT_EQ(registry.version_of("app")->rows, total);
+}
+
+TEST(OnlineServiceTest, RowsStayPendingWhileAQueryTriggeredFitHoldsTheGate) {
+  // A query-triggered fit of "app" holds the registry's single-flight gate
+  // until the test releases it. Rows that reach the row trigger meanwhile
+  // stay pending: counted, ageing, and refitted once the gate frees.
+  std::promise<void> fit_started;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  serve::ModelRegistry registry([&](const std::string& app) {
+    fit_started.set_value();
+    released.wait();
+    return serve::testing::make_test_requirements(app);
+  });
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 3;
+  ScriptedFitter fitter;
+  ManualClock clock;
+  OnlineService service(registry, options, fitter.fn(), clock.fn());
+
+  std::thread query([&registry] { registry.get("app"); });
+  fit_started.get_future().wait();
+  const std::string response =
+      service.handle_ingest(serve::parse_request(ingest_line("app", 3)));
+  EXPECT_EQ(response.rfind("ok ingest accepted=3 pending=3", 0), 0u)
+      << response;
+  // The app is due; give the worker time to find its gate busy.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  OnlineStats stats = service.stats();
+  EXPECT_EQ(stats.rows_pending, 3u);
+  EXPECT_EQ(stats.refits, 0u);
+  EXPECT_DOUBLE_EQ(stats.staleness_seconds, 0.0);
+  clock.advance(std::chrono::milliseconds(1500));
+  stats = service.stats();
+  EXPECT_EQ(stats.rows_pending, 3u);
+  EXPECT_DOUBLE_EQ(stats.staleness_seconds, 1.5);
+
+  release.set_value();
+  query.join();
+  service.drain();
+  stats = service.stats();
+  EXPECT_EQ(stats.refits, 1u);
+  EXPECT_EQ(stats.rows_pending, 0u);
+  EXPECT_DOUBLE_EQ(stats.staleness_seconds, 0.0);
+  EXPECT_EQ(fitter.rows_seen, std::vector<std::size_t>{3});
+  const auto version = registry.version_of("app");
+  ASSERT_NE(version, nullptr);
+  EXPECT_EQ(version->version, 2u);  // the query's fit, then the refit
+  EXPECT_EQ(version->source, VersionSource::kOnlineRefit);
+  EXPECT_EQ(version->rows, 3u);
+}
+
+TEST(OnlineServiceTest, RowCountThresholdMakesKeyDue) {
   serve::ModelRegistry registry;
   OnlineServiceOptions options;
   options.policy.refit_rows = 3;
   ScriptedFitter fitter;
-  OnlineService* service_in_window = nullptr;
-  std::atomic<int> windows{0};
-  OnlineService service(
-      registry, options, fitter.fn(), {}, [&](const std::string& key) {
-        EXPECT_EQ(key, "app");
-        if (windows.fetch_add(1) > 0) return;
-        const std::string response = service_in_window->handle_ingest(
-            serve::parse_request(ingest_line("app", 3, 64)));
-        EXPECT_EQ(response.rfind("ok ingest accepted=3 pending=6", 0), 0u)
-            << response;
-      });
-  service_in_window = &service;
+  OnlineService service(registry, options, fitter.fn());
 
-  service.handle_ingest(serve::parse_request(ingest_line("app", 3)));
-  service.drain();
-
-  EXPECT_GE(windows.load(), 2);  // the key was dequeued again
-  ASSERT_EQ(fitter.rows_seen.size(), 1u);
-  EXPECT_EQ(fitter.rows_seen[0], 6u);
-  ASSERT_NE(registry.version_of("app"), nullptr);
-  EXPECT_EQ(registry.version_of("app")->version, 1u);
-  EXPECT_EQ(service.stats().refits, 1u);
+  EXPECT_EQ(service.handle_ingest(serve::parse_request(ingest_line("app", 2)))
+                .rfind("ok ingest accepted=2 pending=2", 0),
+            0u);
+  EXPECT_EQ(service.stats().rows_pending, 2u);  // below the threshold
+  EXPECT_EQ(
+      service.handle_ingest(serve::parse_request(ingest_line("app", 1, 16)))
+          .rfind("ok ingest accepted=1 pending=3", 0),
+      0u);
+  // The third row makes the app due: the worker refits without a drain.
+  ASSERT_TRUE(wait_until([&service] { return service.stats().refits == 1; }));
   EXPECT_EQ(service.stats().rows_pending, 0u);
+  EXPECT_EQ(fitter.rows_seen, std::vector<std::size_t>{3});
+}
+
+TEST(OnlineServiceTest, StalenessMakesKeyDueUnderInjectedClock) {
+  serve::ModelRegistry registry;
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 0;  // only the staleness trigger
+  options.policy.max_staleness = std::chrono::milliseconds(100);
+  ScriptedFitter fitter;
+  ManualClock clock;
+  OnlineService service(registry, options, fitter.fn(), clock.fn());
+
+  service.handle_ingest(serve::parse_request(ingest_line("app", 1)));
+  EXPECT_DOUBLE_EQ(service.stats().staleness_seconds, 0.0);
+  clock.advance(std::chrono::milliseconds(50));
+  EXPECT_DOUBLE_EQ(service.stats().staleness_seconds, 0.05);
+  EXPECT_EQ(service.stats().rows_pending, 1u);  // not due yet
+
+  // Hold the gate so the now-due app stays pending while its age is read.
+  ASSERT_TRUE(registry.try_begin_fit("app"));
+  clock.advance(std::chrono::milliseconds(200));
+  EXPECT_DOUBLE_EQ(service.stats().staleness_seconds, 0.25);
+  EXPECT_EQ(service.stats().rows_pending, 1u);
+  registry.end_fit("app", false);
+
+  ASSERT_TRUE(wait_until([&service] { return service.stats().refits == 1; }));
+  EXPECT_EQ(service.stats().rows_pending, 0u);
+  EXPECT_DOUBLE_EQ(service.stats().staleness_seconds, 0.0);
+  EXPECT_EQ(fitter.rows_seen, std::vector<std::size_t>{1});
+}
+
+TEST(OnlineServiceTest, BoundedMemoryRejectsOverflowingBatch) {
+  serve::ModelRegistry registry;
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 0;  // nothing takes the pending rows
+  options.policy.max_pending_rows = 3;
+  ScriptedFitter fitter;
+  OnlineService service(registry, options, fitter.fn());
+
+  service.handle_ingest(serve::parse_request(ingest_line("app", 2)));
+  const std::string rejected =
+      service.handle_ingest(serve::parse_request(ingest_line("app", 2, 16)));
+  EXPECT_EQ(rejected.rfind("error overload:", 0), 0u) << rejected;
+  // The rejected batch left nothing behind.
+  EXPECT_EQ(service.stats().rows_pending, 2u);
+  // A batch that fits still goes through.
+  const std::string accepted =
+      service.handle_ingest(serve::parse_request(ingest_line("app", 1, 64)));
+  EXPECT_EQ(accepted.rfind("ok ingest accepted=1 pending=3", 0), 0u)
+      << accepted;
+  const OnlineStats stats = service.stats();
+  EXPECT_EQ(stats.rows_pending, 3u);
+  EXPECT_EQ(stats.batches_accepted, 2u);
+  EXPECT_EQ(stats.batches_rejected, 1u);
+}
+
+TEST(OnlineServiceTest, KeysAreIndependent) {
+  serve::ModelRegistry registry;
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 2;
+  ScriptedFitter fitter;
+  OnlineService service(registry, options, fitter.fn());
+
+  service.handle_ingest(serve::parse_request(ingest_line("a", 1)));
+  service.handle_ingest(serve::parse_request(ingest_line("b", 2)));
+  // Only "b" reached the row trigger.
+  ASSERT_TRUE(wait_until([&service] { return service.stats().refits == 1; }));
+  EXPECT_EQ(service.stats().rows_pending, 1u);
+  EXPECT_EQ(fitter.apps_seen, std::vector<std::string>{"b"});
+  EXPECT_EQ(registry.version_of("a"), nullptr);
+
+  service.drain();
+  EXPECT_EQ(service.stats().rows_pending, 0u);
+  EXPECT_EQ(fitter.apps_seen, (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(fitter.rows_seen, (std::vector<std::size_t>{2, 1}));
 }
 
 TEST(OnlineServiceTest, BelowThresholdRowsStayPendingUntilDrain) {

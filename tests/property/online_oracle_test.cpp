@@ -1,7 +1,8 @@
 // Differential oracle (6): the online incremental refit loop — rows
-// streamed in shuffled batches through the IncrementalRefitter, each batch
-// triggering a full refit over the canonical dataset of record — vs one
-// cold fit over the concatenated data.
+// streamed in shuffled batches through OnlineService (each batch ingested
+// over the wire format, then drained, so every batch triggers a full refit
+// over the canonical dataset of record) — vs one cold fit over the
+// concatenated data.
 //
 // The contract `docs/ONLINE.md` states: when the stream quiesces, the
 // served model equals the model a batch job would have fitted from the
@@ -24,9 +25,11 @@
 
 #include "codesign/requirements.hpp"
 #include "model/search_space.hpp"
-#include "online/refitter.hpp"
+#include "online/service.hpp"
+#include "pipeline/campaign.hpp"
 #include "pipeline/measure.hpp"
 #include "pipeline/serve_bridge.hpp"
+#include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "support/error.hpp"
 #include "testkit/domain_gen.hpp"
@@ -226,27 +229,46 @@ std::string diff_bundles(const BundleSummary& fast,
 /// the same family, and the smaller hypothesis pool keeps 25-row refits
 /// fast enough for the seed matrix (the full space is the batched-fitter
 /// oracle's job).
-online::RefitterOptions oracle_options() {
-  online::RefitterOptions options;
+online::RefitOptions oracle_options() {
+  online::RefitOptions options;
   options.generator.space = model::SearchSpace::coarse();
   options.generator.top_factors_per_parameter = 2;
   return options;
 }
 
+/// One batch as an `ingest` request: the campaign CSV (17 significant
+/// digits, so every value round-trips exactly) with records joined by ';'.
+serve::Request ingest_request(
+    const std::vector<pipeline::AppMeasurement>& batch) {
+  pipeline::CampaignData data;
+  data.app_name = "planted";
+  data.measurements = batch;
+  std::string payload = data.to_csv().to_string();
+  while (!payload.empty() && payload.back() == '\n') payload.pop_back();
+  std::replace(payload.begin(), payload.end(), '\n', ';');
+  serve::Request request;
+  request.kind = serve::RequestKind::kIngest;
+  request.app = data.app_name;
+  request.payload = std::move(payload);
+  return request;
+}
+
 BundleSummary run_incremental(const StreamCase& stream) {
   serve::ModelRegistry registry;
-  online::IncrementalRefitter refitter(registry, oracle_options());
-  online::RefitOutcome last;
+  online::OnlineServiceOptions options;
+  options.policy.refit_rows = 0;  // each drain() refits the batch it follows
+  options.refit = oracle_options();
+  online::OnlineService service(registry, options);
   for (const auto& batch : stream.batches) {
-    last = refitter.refit("planted", batch);
+    // Coinciding cuts make empty batches, which have no wire form.
+    if (batch.empty()) continue;
+    const std::string response = service.handle_ingest(ingest_request(batch));
+    exareq::require(response.rfind("ok ingest", 0) == 0,
+                    "ingest rejected: " + response);
     // Intermediate refits may legitimately fail (e.g. a prefix with fewer
     // than five distinct parameter values); the previous version stays.
     // The final refit sees the full grid and must publish.
-  }
-  if (!last.published) {
-    throw exareq::InvalidArgument("final refit did not publish: " +
-                                  (last.error.empty() ? "gate busy"
-                                                      : last.error));
+    service.drain();
   }
   const auto version = registry.version_of("planted");
   exareq::require(version != nullptr && version->models != nullptr,

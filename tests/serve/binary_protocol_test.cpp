@@ -165,6 +165,35 @@ TEST(BinaryProtocolTest, MaterializeMatchesTextParserValidationMessages) {
   }
 }
 
+TEST(BinaryProtocolTest, MaterializeRejectsNonFiniteNumbers) {
+  // A binary frame carries doubles as raw bits, so infinities reach the
+  // same check as the text parser's `inf` and fail it the same way.
+  const double inf = std::numeric_limits<double>::infinity();
+  Request upgrade = invert_request(inf, 2.0e9);
+  upgrade.kind = RequestKind::kUpgrade;
+  const struct {
+    Request request;
+    std::string line;
+  } cases[] = {
+      {eval_request("lulesh", "flops", inf, 64.0), "eval lulesh flops inf 64"},
+      {eval_request("lulesh", "flops", 64.0, inf), "eval lulesh flops 64 inf"},
+      {upgrade, "upgrade lulesh inf 2e9"},
+      {invert_request(64.0, inf), "invert lulesh 64 inf"},
+  };
+  for (const auto& test_case : cases) {
+    const std::string frame = binary::encode_request_frame({test_case.request});
+    const auto views = binary::decode_request_frame(frame);
+    const std::string binary_message =
+        message_of([&] { views[0].materialize(); });
+    EXPECT_NE(binary_message.find("must be finite"), std::string::npos)
+        << test_case.line << ": " << binary_message;
+    EXPECT_EQ(binary_message, message_of([&] {
+                exareq::serve::parse_request(test_case.line);
+              }))
+        << test_case.line;
+  }
+}
+
 TEST(BinaryProtocolTest, MaterializeRejectsUnknownMetricId) {
   std::string frame =
       binary::encode_request_frame({eval_request("app", "flops", 2, 3)});

@@ -48,6 +48,30 @@ TEST(ServeProtocolTest, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request("status extra"), exareq::InvalidArgument);
 }
 
+TEST(ServeProtocolTest, RejectsNonFiniteNumbers) {
+  // `inf` passes a `>= 1` or `> 0` check; NaN fails it.
+  const struct {
+    const char* line;
+    const char* message;
+  } cases[] = {
+      {"eval lulesh flops inf 64", "eval coordinates must be finite"},
+      {"eval lulesh flops 64 inf", "eval coordinates must be finite"},
+      {"eval lulesh flops nan 64", "eval coordinates must be >= 1"},
+      {"upgrade lulesh inf 2e9",
+       "process count and memory per process must be finite"},
+      {"invert lulesh 64 inf",
+       "process count and memory per process must be finite"},
+  };
+  for (const auto& test_case : cases) {
+    try {
+      parse_request(test_case.line);
+      ADD_FAILURE() << "accepted: " << test_case.line;
+    } catch (const exareq::InvalidArgument& error) {
+      EXPECT_STREQ(error.what(), test_case.message) << test_case.line;
+    }
+  }
+}
+
 TEST(ServeProtocolTest, CanonicalKeyUnifiesSpellings) {
   const Request a = parse_request("eval LULESH flops 64 1024");
   const Request b = parse_request("eval lulesh flops 64.0 1.024e3");

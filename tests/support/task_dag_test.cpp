@@ -13,13 +13,20 @@
 namespace exareq {
 namespace {
 
+/// Runs `dag` as a serial campaign does: a one-thread pool has no workers,
+/// so every task runs inline and the ready heap releases them in id order.
+void run_on_one_thread(TaskDag& dag) {
+  ThreadPool pool(1);
+  dag.run(pool);
+}
+
 TEST(TaskDagTest, SerialRunsInIdOrder) {
   TaskDag dag;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     dag.add([&order, i] { order.push_back(i); });
   }
-  dag.run_serial();
+  run_on_one_thread(dag);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -66,7 +73,8 @@ TEST(TaskDagTest, ParallelMatchesSerialSlots) {
   };
   std::vector<int> serial(40, -1);
   std::vector<int> parallel(40, -1);
-  build(serial).run_serial();
+  TaskDag serial_dag = build(serial);
+  run_on_one_thread(serial_dag);
   ThreadPool pool(8);
   build(parallel).run(pool);
   EXPECT_EQ(serial, parallel);
@@ -89,7 +97,7 @@ TEST(TaskDagTest, SmallestFailingTaskWins) {
     EXPECT_THROW(
         {
           try {
-            dag.run_serial();
+            run_on_one_thread(dag);
           } catch (const NumericError& e) {
             EXPECT_STREQ(e.what(), "task 1 failed");
             throw;
@@ -132,7 +140,7 @@ TEST(TaskDagTest, FailureSkipsTransitiveDependents) {
       ThreadPool pool(4);
       EXPECT_THROW(dag.run(pool), NumericError);
     } else {
-      EXPECT_THROW(dag.run_serial(), NumericError);
+      EXPECT_THROW(run_on_one_thread(dag), NumericError);
     }
     EXPECT_EQ(ran.load(), 10);  // only the independent task ran
   }
@@ -154,7 +162,7 @@ TEST(TaskDagTest, RunsInlineOnSingleThreadPool) {
 
 TEST(TaskDagTest, EmptyDagIsANoop) {
   TaskDag dag;
-  dag.run_serial();
+  run_on_one_thread(dag);
   ThreadPool pool(2);
   dag.run(pool);
 }
@@ -174,7 +182,7 @@ TEST(TaskDagTest, NamedTaskErrorCarriesTaskName) {
         ThreadPool pool(4);
         dag.run(pool);
       } else {
-        dag.run_serial();
+        run_on_one_thread(dag);
       }
       FAIL() << "expected NumericError";
     } catch (const NumericError& e) {
@@ -187,7 +195,7 @@ TEST(TaskDagTest, NamedTaskErrorCarriesTaskName) {
 TEST(TaskDagTest, NamedTaskWrapPreservesExceptionType) {
   const auto thrown_message = [](TaskDag& dag) {
     try {
-      dag.run_serial();
+      run_on_one_thread(dag);
     } catch (const std::exception& e) {
       return std::string(e.what());
     }
@@ -196,7 +204,7 @@ TEST(TaskDagTest, NamedTaskWrapPreservesExceptionType) {
   {
     TaskDag dag;
     dag.add("t", [] { throw InvalidArgument("bad input"); });
-    EXPECT_THROW(dag.run_serial(), InvalidArgument);
+    EXPECT_THROW(run_on_one_thread(dag), InvalidArgument);
   }
   {
     TaskDag dag;
@@ -228,7 +236,7 @@ TEST(TaskDagTest, SmallestFailingNamedTaskWinsInParallel) {
         ThreadPool pool(4);
         dag.run(pool);
       } else {
-        dag.run_serial();
+        run_on_one_thread(dag);
       }
     } catch (const NumericError& e) {
       return std::string(e.what());
