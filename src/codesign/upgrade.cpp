@@ -1,8 +1,26 @@
 #include "codesign/upgrade.hpp"
 
+#include <cmath>
+
 #include "support/error.hpp"
 
 namespace exareq::codesign {
+namespace {
+
+/// A requirement model that overflows (or vanishes) at the baseline or the
+/// upgraded system makes its ratio inf or NaN; report that instead of
+/// passing it off as a result.
+void require_finite_ratio(double ratio, const char* name,
+                          const UpgradeScenario& upgrade) {
+  if (std::isfinite(ratio)) return;
+  throw exareq::NumericError(
+      "evaluate_upgrade: the " + std::string(name) + " ratio of '" +
+      upgrade.label + "' is " + std::to_string(ratio) +
+      "; upgrade ratios must be finite (a requirement model overflows or "
+      "is zero at this system size)");
+}
+
+}  // namespace
 
 std::vector<UpgradeScenario> paper_upgrades() {
   return {
@@ -45,6 +63,12 @@ UpgradeWalkthrough evaluate_upgrade(const AppRequirements& app,
       app.comm_bytes.evaluate2(p1, n1) / app.comm_bytes.evaluate2(p0, n0);
   outcome.memory_access_ratio =
       app.loads_stores.evaluate2(p1, n1) / app.loads_stores.evaluate2(p0, n0);
+  require_finite_ratio(outcome.problem_size_ratio, "problem size", upgrade);
+  require_finite_ratio(outcome.overall_problem_ratio, "overall problem",
+                       upgrade);
+  require_finite_ratio(outcome.computation_ratio, "computation", upgrade);
+  require_finite_ratio(outcome.communication_ratio, "communication", upgrade);
+  require_finite_ratio(outcome.memory_access_ratio, "memory access", upgrade);
   return walk;
 }
 

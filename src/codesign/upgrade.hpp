@@ -49,7 +49,8 @@ struct UpgradeWalkthrough {
 /// Evaluates one upgrade: fills the baseline memory, applies the upgrade,
 /// refills, and forms the requirement ratios. Throws NumericError when the
 /// application cannot fill either system (footprint exceeds memory at the
-/// minimum problem size).
+/// minimum problem size), or when a ratio is not finite (a requirement
+/// model overflows or is zero at either system).
 UpgradeWalkthrough evaluate_upgrade(const AppRequirements& app,
                                     const SystemSkeleton& baseline,
                                     const UpgradeScenario& upgrade);

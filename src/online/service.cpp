@@ -186,7 +186,7 @@ void OnlineService::worker_loop() {
       stats_.last_version = outcome.version;
       metrics.counter("online.refits").add(1);
     }
-    if (outcome.rolled_back) {
+    if (outcome.rejected) {
       ++stats_.rollbacks;
       metrics.counter("online.rollbacks").add(1);
     }
@@ -224,21 +224,24 @@ OnlineService::Refit OnlineService::refit(
     outcome.failed = true;
     return outcome;
   }
+  // The guard runs before the publish: a refit that regresses never
+  // becomes the current version, so no query is answered from it. It
+  // compares with the version current after the fit; the held gate keeps
+  // fit-on-demand from publishing meanwhile.
   const double quality = bundle.mean_abs_relative_error;
-  const auto displaced = registry_.version_of(key);
-  outcome.version =
-      registry_.publish(std::move(bundle.requirements),
-                        VersionSource::kOnlineRefit, rows_total, quality);
-  outcome.published = true;
-  registry_.end_fit(key, true);
-
-  if (options_.refit.max_quality_regression > 0.0 && displaced &&
-      !std::isnan(displaced->mean_abs_relative_error) &&
-      !std::isnan(quality) &&
-      quality > displaced->mean_abs_relative_error +
-                    options_.refit.max_quality_regression) {
-    outcome.rolled_back = registry_.rollback(key);
+  const auto current = registry_.version_of(key);
+  outcome.rejected =
+      options_.refit.max_quality_regression > 0.0 && current &&
+      !std::isnan(current->mean_abs_relative_error) && !std::isnan(quality) &&
+      quality > current->mean_abs_relative_error +
+                    options_.refit.max_quality_regression;
+  if (!outcome.rejected) {
+    outcome.version = registry_.publish(std::move(bundle.requirements),
+                                        serve::VersionSource::kOnlineRefit,
+                                        rows_total, quality);
+    outcome.published = true;
   }
+  registry_.end_fit(key, true);
   return outcome;
 }
 

@@ -3,8 +3,8 @@
 // One service owns the whole streaming loop and every online row: ingest
 // requests (parsed and validated by online/ingest.hpp) stage rows per
 // application, a single background worker refits applications the refit
-// policy declares due, and every successful refit hot-swaps the registry's
-// VersionedModel slot while queries keep being answered. The server stays
+// policy declares due, and every accepted refit is published to the
+// registry (a hot swap) while queries keep being answered. The server stays
 // decoupled: it only sees the serve::OnlineHooks bundle (`hooks()`), which
 // routes `ingest` requests here and hands `status` the online counters.
 //
@@ -21,8 +21,9 @@
 // hypothesis search, so the only way the served model is guaranteed to
 // equal a cold fit on the concatenated data (the differential-oracle
 // contract) is to refit from the full canonical dataset. On fit failure the
-// previous version stays current; on a quality regression beyond the
-// configured tolerance the fresh version is rolled back.
+// current version stays; a refit whose quality regresses beyond the
+// configured tolerance is rejected before it is published, so no query is
+// ever answered from it, and the current version stays as well.
 //
 // One worker, not a pool: refits are serialized so at most one model fit
 // runs off the query path at a time (the fit engine itself is serial — the
@@ -69,8 +70,8 @@ struct RefitPolicy {
 struct RefitOptions {
   /// Search space and fit configuration (threads forced to 1 by the fit).
   model::GeneratorOptions generator;
-  /// Allowed increase of mean absolute relative error over the previous
-  /// version before the new one is rolled back; 0 disables the guard
+  /// Allowed increase of mean absolute relative error over the current
+  /// version before a refit is rejected unpublished; 0 disables the guard
   /// (required for bit-exact cold-fit equivalence, hence the default).
   double max_quality_regression = 0.0;
 };
@@ -135,7 +136,7 @@ class OnlineService {
   /// What one refit did.
   struct Refit {
     bool published = false;
-    bool rolled_back = false;
+    bool rejected = false;  ///< the quality guard kept the current version
     bool failed = false;
     std::uint64_t version = 0;
   };
@@ -144,7 +145,8 @@ class OnlineService {
   bool due(const AppRows& app,
            std::chrono::steady_clock::time_point now) const;
   /// Fits `app`'s dataset of record after appending `rows`, and publishes
-  /// it. The caller holds the app's single-flight gate; this releases it.
+  /// the fit unless the quality guard rejects it. The caller holds the
+  /// app's single-flight gate; this releases it.
   Refit refit(const std::string& key, AppRows& app,
               std::vector<pipeline::AppMeasurement> rows);
   /// Counters plus the pending rows and worst staleness; needs `mutex_`.

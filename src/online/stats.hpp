@@ -1,9 +1,9 @@
 // OnlineStats: the online service's counters as plain values.
 //
-// The struct sits in exareq_online_core, below serve in the link graph, so
-// the sharded server can sum its shards' stats into one `status` line and
-// one `--status` table without the serve library depending on the online
-// service (which depends on serve).
+// The header is self-contained (no library to link), so the sharded server
+// can sum its shards' stats into one `status` line and one `--status`
+// table without the serve library depending on the online service (which
+// depends on serve).
 #pragma once
 
 #include <algorithm>
@@ -17,8 +17,8 @@ struct OnlineStats {
   std::uint64_t batches_rejected = 0;  ///< validation or buffer-bound errors
   std::uint64_t rows_ingested = 0;
   std::uint64_t refits = 0;          ///< published new versions
-  std::uint64_t refit_failures = 0;  ///< fit threw; previous version kept
-  std::uint64_t rollbacks = 0;       ///< quality guard restored previous
+  std::uint64_t refit_failures = 0;  ///< fit threw; current version kept
+  std::uint64_t rollbacks = 0;       ///< refits the quality guard rejected
   std::uint64_t rows_pending = 0;    ///< staged, not yet refitted
   double staleness_seconds = 0.0;    ///< oldest pending row, worst key
   std::uint64_t last_version = 0;    ///< most recently published version id

@@ -566,17 +566,6 @@ model::EngineStats RequirementModels::engine_stats() const {
   return total;
 }
 
-double RequirementModels::comm_bytes_at(double p, double n) const {
-  if (comm_channels.empty()) {
-    return bytes_sent_received.model.evaluate2(p, n);
-  }
-  double total = 0.0;
-  for (const ChannelModel& channel : comm_channels) {
-    total += channel.fit.model.evaluate2(p, n);
-  }
-  return total;
-}
-
 std::vector<double> all_relative_errors(const RequirementModels& models) {
   std::vector<double> errors;
   for (Metric metric : all_metrics()) {

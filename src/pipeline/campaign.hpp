@@ -109,10 +109,6 @@ struct RequirementModels {
 
   const model::FitResult& result(Metric metric) const;
 
-  /// Sum of the per-call-path communication models at (p, n) — the
-  /// communication requirement used by the co-design studies.
-  double comm_bytes_at(double p, double n) const;
-
   /// Aggregated engine-stats counters over all metric and call-path fits
   /// (wall_seconds is the sum of the per-fit wall times).
   model::EngineStats engine_stats() const;

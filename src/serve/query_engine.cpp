@@ -161,7 +161,7 @@ std::string QueryEngine::compute(const Request& request) {
 
 std::string QueryEngine::answer(const Request& request) {
   const bool use_cache = cache_ != nullptr && cacheable(request);
-  std::shared_ptr<const online::ModelVersion> version;
+  std::shared_ptr<const ModelVersion> version;
   std::string key;
   if (use_cache) {
     // The key carries the model version the answer is computed from, so a

@@ -22,45 +22,72 @@ std::string ModelRegistry::key_of(const std::string& app) {
   return key;
 }
 
+std::string version_source_name(VersionSource source) {
+  switch (source) {
+    case VersionSource::kInsert:
+      return "insert";
+    case VersionSource::kFile:
+      return "file";
+    case VersionSource::kFitOnDemand:
+      return "fit-on-demand";
+    case VersionSource::kOnlineRefit:
+      return "online-refit";
+  }
+  return "?";
+}
+
 void ModelRegistry::insert(codesign::AppRequirements models) {
-  publish(std::move(models), online::VersionSource::kInsert);
+  publish(std::move(models), VersionSource::kInsert);
 }
 
 std::uint64_t ModelRegistry::publish(codesign::AppRequirements models,
-                                     online::VersionSource source,
-                                     std::uint64_t rows,
+                                     VersionSource source, std::uint64_t rows,
                                      double mean_abs_relative_error) {
   models.validate();
   exareq::require(!models.name.empty(), "ModelRegistry: bundle has no name");
   auto shared =
       std::make_shared<const codesign::AppRequirements>(std::move(models));
+  const std::string key = key_of(shared->name);
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entries_[key_of(shared->name)];
-  const bool first = entry.slot->current() == nullptr;
-  const std::uint64_t version = entry.slot->publish(
-      std::move(shared), source, rows, mean_abs_relative_error);
-  if (first) {
-    ++stats_.apps;
-  } else {
-    ++stats_.hot_swaps;
-  }
-  // A publish can satisfy lookups waiting on an in-flight fit of this app.
-  fit_done_.notify_all();
-  return version;
+  return publish_locked(entries_[key], std::move(shared), source, rows,
+                        mean_abs_relative_error);
 }
 
-bool ModelRegistry::rollback(const std::string& app) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key_of(app));
-  if (it == entries_.end()) return false;
-  if (!it->second.slot->rollback()) return false;
-  ++stats_.hot_swaps;
-  return true;
+std::uint64_t ModelRegistry::publish_locked(
+    Entry& entry, std::shared_ptr<const codesign::AppRequirements> models,
+    VersionSource source, std::uint64_t rows,
+    double mean_abs_relative_error) {
+  auto snapshot = std::make_shared<ModelVersion>();
+  snapshot->version = entry.current ? entry.current->version + 1 : 1;
+  snapshot->models = std::move(models);
+  snapshot->source = source;
+  snapshot->rows = rows;
+  snapshot->mean_abs_relative_error = mean_abs_relative_error;
+  snapshot->published_at = std::chrono::steady_clock::now();
+  if (entry.current) {
+    ++stats_.hot_swaps;
+  } else {
+    ++stats_.apps;
+  }
+  entry.current = std::move(snapshot);
+  // A publish can satisfy lookups waiting on an in-flight fit of this app.
+  fit_done_.notify_all();
+  return entry.current->version;
 }
 
 bool ModelRegistry::try_begin_fit(const std::string& app) {
+  const std::string key = key_of(app);
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entries_[key_of(app)];
+  return begin_fit_locked(entries_[key]);
+}
+
+void ModelRegistry::end_fit(const std::string& app, bool completed) {
+  const std::string key = key_of(app);
+  std::lock_guard<std::mutex> lock(mutex_);
+  end_fit_locked(entries_[key], completed);
+}
+
+bool ModelRegistry::begin_fit_locked(Entry& entry) {
   if (entry.fitting) return false;
   entry.fitting = true;
   ++stats_.fits_started;
@@ -68,9 +95,7 @@ bool ModelRegistry::try_begin_fit(const std::string& app) {
   return true;
 }
 
-void ModelRegistry::end_fit(const std::string& app, bool completed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entries_[key_of(app)];
+void ModelRegistry::end_fit_locked(Entry& entry, bool completed) {
   entry.fitting = false;
   --stats_.in_flight_fits;
   if (completed) {
@@ -124,28 +149,18 @@ std::string ModelRegistry::load_file(const std::string& path) {
       "model file '" + path +
           "' must contain footprint, flops, comm_bytes, loads_stores and "
           "stack_distance models");
-  publish(std::move(requirements), online::VersionSource::kFile);
+  publish(std::move(requirements), VersionSource::kFile);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.files_loaded;
   return bundle.name;
 }
 
-std::shared_ptr<const codesign::AppRequirements> ModelRegistry::find(
+std::shared_ptr<const ModelVersion> ModelRegistry::version_of(
     const std::string& app) const {
-  const auto snapshot = version_of(app);
-  return snapshot ? snapshot->models : nullptr;
-}
-
-std::shared_ptr<const online::ModelVersion> ModelRegistry::version_of(
-    const std::string& app) const {
-  std::shared_ptr<online::VersionedModel> slot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key_of(app));
-    if (it == entries_.end()) return nullptr;
-    slot = it->second.slot;
-  }
-  return slot->current();
+  const std::string key = key_of(app);
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(key);
+  return it == entries_.end() ? nullptr : it->second.current;
 }
 
 std::shared_ptr<const codesign::AppRequirements> ModelRegistry::get(
@@ -156,9 +171,9 @@ std::shared_ptr<const codesign::AppRequirements> ModelRegistry::get(
   for (;;) {
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
-      if (const auto snapshot = it->second.slot->current()) {
+      if (it->second.current) {
         ++stats_.hits;
-        return snapshot->models;
+        return it->second.current->models;
       }
       if (it->second.fitting) {
         // Another thread — a query-triggered fit or an online refit — is
@@ -174,9 +189,8 @@ std::shared_ptr<const codesign::AppRequirements> ModelRegistry::get(
   exareq::require(static_cast<bool>(fitter_),
                   "no models loaded for '" + app +
                       "' and the registry has no fit-on-demand callback");
-  entries_[key].fitting = true;
-  ++stats_.fits_started;
-  ++stats_.in_flight_fits;
+  Entry& entry = entries_[key];
+  begin_fit_locked(entry);
   lock.unlock();
 
   std::shared_ptr<const codesign::AppRequirements> fitted;
@@ -192,25 +206,11 @@ std::shared_ptr<const codesign::AppRequirements> ModelRegistry::get(
   }
 
   lock.lock();
-  --stats_.in_flight_fits;
-  Entry& entry = entries_[key];
-  entry.fitting = false;
-  if (failure) {
-    // A failed fit is not cached: the entry keeps no version, so the next
-    // lookup retries; wake the waiters so one of them can.
-    ++stats_.fit_failures;
-    fit_done_.notify_all();
-    std::rethrow_exception(failure);
-  }
-  ++stats_.fits_completed;
-  const bool first = entry.slot->current() == nullptr;
-  entry.slot->publish(fitted, online::VersionSource::kFitOnDemand);
-  if (first) {
-    ++stats_.apps;
-  } else {
-    ++stats_.hot_swaps;
-  }
-  fit_done_.notify_all();
+  // A failed fit is not cached: the entry keeps no version, so the next
+  // lookup retries; ending the fit wakes the waiters so one of them can.
+  end_fit_locked(entry, failure == nullptr);
+  if (failure) std::rethrow_exception(failure);
+  publish_locked(entry, fitted, VersionSource::kFitOnDemand);
   return fitted;
 }
 
@@ -219,9 +219,7 @@ std::vector<std::string> ModelRegistry::app_names() const {
   std::lock_guard<std::mutex> lock(mutex_);
   names.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
-    if (const auto snapshot = entry.slot->current()) {
-      names.push_back(snapshot->models->name);
-    }
+    if (entry.current) names.push_back(entry.current->models->name);
   }
   std::sort(names.begin(), names.end());
   return names;
@@ -233,12 +231,11 @@ std::vector<ModelInfo> ModelRegistry::model_infos() const {
   std::lock_guard<std::mutex> lock(mutex_);
   infos.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
-    const auto snapshot = entry.slot->current();
+    const auto& snapshot = entry.current;
     if (!snapshot) continue;
     ModelInfo info;
     info.name = snapshot->models->name;
     info.version = snapshot->version;
-    info.epoch = entry.slot->epoch();
     info.source = snapshot->source;
     info.rows = snapshot->rows;
     info.mean_abs_relative_error = snapshot->mean_abs_relative_error;

@@ -14,17 +14,21 @@
 // (`try_begin_fit`/`end_fit`), so a background refit and a query-triggered
 // fit of the same application never race.
 //
-// Every entry owns an online::VersionedModel hot-swap slot: a publish flips
-// queries to the new version in one atomic store, and readers of an
-// already-loaded model never block on a refit in progress. Lookups are
-// lock-held only for a map find; the returned shared_ptr keeps a bundle
-// alive across its use even if the registry is mutated concurrently. Keys
-// are case-insensitive (matching the CLI's app lookup).
+// Each entry holds one immutable ModelVersion snapshot and its
+// single-flight flag, both guarded by the registry mutex. A publish swaps
+// the snapshot pointer under that mutex, so a query sees either the old
+// bundle or the new one, never half of each; fits run with the mutex
+// released, so readers of an already-loaded model never wait on a fit.
+// The returned shared_ptr keeps a snapshot alive across its use even if
+// the registry is mutated concurrently. Keys are case-insensitive
+// (matching the CLI's app lookup).
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,9 +36,33 @@
 #include <vector>
 
 #include "codesign/requirements.hpp"
-#include "online/versioned_model.hpp"
 
 namespace exareq::serve {
+
+/// How a model version entered the registry (rendered in `serve --status`).
+enum class VersionSource {
+  kInsert,       ///< preloaded in process (ModelRegistry::insert)
+  kFile,         ///< loaded from a serialized bundle file
+  kFitOnDemand,  ///< registry fit-on-demand (query-triggered)
+  kOnlineRefit,  ///< incremental refit over streamed ingest rows
+};
+
+std::string version_source_name(VersionSource source);
+
+/// One immutable published version. Everything a query needs — the model
+/// bundle plus its provenance — travels in one snapshot so a reader never
+/// has to correlate separately-updated fields.
+struct ModelVersion {
+  std::uint64_t version = 0;  ///< 1 for an app's first publish, +1 per publish
+  std::shared_ptr<const codesign::AppRequirements> models;
+  VersionSource source = VersionSource::kInsert;
+  /// Measurement rows behind the fit (0 when unknown, e.g. loaded bundles).
+  std::uint64_t rows = 0;
+  /// Mean absolute relative error of the fit over its own measurements
+  /// (NaN when unknown) — the quality the refit regression guard compares.
+  double mean_abs_relative_error = std::numeric_limits<double>::quiet_NaN();
+  std::chrono::steady_clock::time_point published_at{};
+};
 
 /// Registry counters (merged into MetricsSnapshot by the server).
 struct RegistryStats {
@@ -55,8 +83,7 @@ struct RegistryStats {
 struct ModelInfo {
   std::string name;
   std::uint64_t version = 0;
-  std::uint64_t epoch = 0;
-  online::VersionSource source = online::VersionSource::kInsert;
+  VersionSource source = VersionSource::kInsert;
   std::uint64_t rows = 0;
   double mean_abs_relative_error = 0.0;  ///< NaN when unknown
   double age_seconds = 0.0;              ///< since this version was published
@@ -89,27 +116,18 @@ class ModelRegistry {
   /// (a failed fit is not cached; the next lookup retries).
   std::shared_ptr<const codesign::AppRequirements> get(const std::string& app);
 
-  /// Lookup without fit-on-demand; nullptr on a miss.
-  std::shared_ptr<const codesign::AppRequirements> find(
-      const std::string& app) const;
-
   /// The full versioned snapshot of one app (version id, provenance,
-  /// publish time); nullptr on a miss. Lock-free after the map find.
-  std::shared_ptr<const online::ModelVersion> version_of(
-      const std::string& app) const;
+  /// publish time), without fit-on-demand; nullptr on a miss.
+  std::shared_ptr<const ModelVersion> version_of(const std::string& app) const;
 
-  /// Publishes a new model version for `app` (validated), atomically
-  /// flipping concurrent queries to it. Returns the new version id. This is
-  /// the hot-swap entry point of the online refit loop; `insert` and
+  /// Publishes a new model version for `app` (validated), flipping
+  /// concurrent queries to it in one step. Returns the new version id. This
+  /// is the hot-swap entry point of the online refit loop; `insert` and
   /// `load_file` route through it too.
   std::uint64_t publish(codesign::AppRequirements models,
-                        online::VersionSource source, std::uint64_t rows = 0,
+                        VersionSource source, std::uint64_t rows = 0,
                         double mean_abs_relative_error =
                             std::numeric_limits<double>::quiet_NaN());
-
-  /// Re-publishes the previous version of `app` (source kRollback).
-  /// Returns false when the app has no displaced version to restore.
-  bool rollback(const std::string& app);
 
   /// Single-flight gate, shared between query-triggered fit-on-demand and
   /// the online service's refits: returns true when the caller acquired the
@@ -127,15 +145,23 @@ class ModelRegistry {
   RegistryStats stats() const;
 
  private:
+  /// Entries are never erased, so a reference to one stays valid while
+  /// the mutex is released.
   struct Entry {
-    /// The hot-swap slot; a stable heap object so publishes and reads can
-    /// proceed outside the registry mutex.
-    std::shared_ptr<online::VersionedModel> slot =
-        std::make_shared<online::VersionedModel>();
-    bool fitting = false;
+    std::shared_ptr<const ModelVersion> current;  ///< null until a publish
+    bool fitting = false;  ///< the single-flight gate is held
   };
 
   static std::string key_of(const std::string& app);
+
+  // The helpers below need `mutex_` held.
+  bool begin_fit_locked(Entry& entry);
+  void end_fit_locked(Entry& entry, bool completed);
+  std::uint64_t publish_locked(
+      Entry& entry, std::shared_ptr<const codesign::AppRequirements> models,
+      VersionSource source, std::uint64_t rows = 0,
+      double mean_abs_relative_error =
+          std::numeric_limits<double>::quiet_NaN());
 
   Fitter fitter_;
   mutable std::mutex mutex_;

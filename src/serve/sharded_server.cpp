@@ -394,7 +394,7 @@ std::string ShardedServer::status_report() const {
     for (const ModelInfo& info : shards_[i]->registry->model_infos()) {
       models.add_row({std::to_string(i), info.name,
                       std::to_string(info.version),
-                      online::version_source_name(info.source),
+                      version_source_name(info.source),
                       std::to_string(info.rows),
                       std::isnan(info.mean_abs_relative_error)
                           ? std::string("-")

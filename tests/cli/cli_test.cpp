@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "../serve/serve_test_util.hpp"
@@ -193,20 +195,25 @@ TEST(CliTest, MeasureThenAnalyzeFromFile) {
 
 TEST(CliTest, UpgradeRejectsANonFiniteBaseline) {
   // `inf` passes a `>= 1` check; the study then printed a table of NaNs
-  // and exited 0.
+  // and exited 0. A finite 1e300 processes overflows Kripke's n * p
+  // loads/stores model, which printed `inf` in the table and exited 0.
   const std::string path = "/tmp/exareq_cli_upgrade_inf_" +
                            std::to_string(::getpid()) + ".csv";
   const CliRun measured =
       run({"measure", "Kripke", "--processes", "2,4,8,16,32", "--sizes",
            "16,32,64,128,256", "--out", path});
   ASSERT_EQ(measured.exit_code, 0) << measured.err;
-  for (const char* flag : {"--base-processes", "--base-memory"}) {
+  const std::pair<const char*, const char*> baselines[] = {
+      {"--base-processes", "inf"},
+      {"--base-memory", "inf"},
+      {"--base-processes", "1e300"}};
+  for (const auto& [flag, value] : baselines) {
     const CliRun upgraded =
-        run({"upgrade", "Kripke", "--in", path, flag, "inf"});
-    EXPECT_EQ(upgraded.exit_code, 1) << flag;
+        run({"upgrade", "Kripke", "--in", path, flag, value});
+    EXPECT_EQ(upgraded.exit_code, 1) << flag << ' ' << value;
     EXPECT_NE(upgraded.err.find("must be finite"), std::string::npos)
         << upgraded.err;
-    EXPECT_EQ(upgraded.out, "") << flag;
+    EXPECT_EQ(upgraded.out, "") << flag << ' ' << value;
   }
   std::remove(path.c_str());
 }

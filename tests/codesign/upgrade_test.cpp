@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -143,6 +144,25 @@ TEST(UpgradeTest, BaselineExpectationMatchesTableV) {
   const auto c = baseline_expectation(upgrades[2]);
   EXPECT_DOUBLE_EQ(c.problem_size_ratio, 2.0);
   EXPECT_DOUBLE_EQ(c.overall_problem_ratio, 2.0);
+}
+
+TEST(UpgradeTest, NonFiniteRatioIsANumericError) {
+  // Kripke's loads/stores grow with n * p, so at p = 1e300 the model
+  // overflows to inf at both systems and the ratio is not a number.
+  const SystemSkeleton huge{1e300, 2147483648.0};
+  for (const auto& upgrade : paper_upgrades()) {
+    try {
+      const UpgradeOutcome outcome =
+          evaluate_upgrade(paper_kripke(), huge, upgrade).outcome;
+      ADD_FAILURE() << upgrade.label << " answered a memory access ratio of "
+                    << outcome.memory_access_ratio;
+    } catch (const exareq::NumericError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("memory access ratio"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(upgrade.label), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(UpgradeTest, InvalidFactorsRejected) {

@@ -1,7 +1,7 @@
 // Race tests for the hot-swap path, designed for the TSan preset
 // (`ctest -R 'Online'` under --preset tsan): queries must never observe a
-// partially-swapped model, and version ids must stay coherent with the
-// slot epoch while ingest, refit, and fit-on-demand contend on one key.
+// partially-swapped model, and version ids must only move forward while
+// ingest, refit, and fit-on-demand contend on one key.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,21 +13,14 @@
 
 #include "../serve/serve_test_util.hpp"
 #include "online/service.hpp"
-#include "online/versioned_model.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 
 namespace exareq::online {
 namespace {
 
-std::shared_ptr<const codesign::AppRequirements> bundle(
-    const std::string& name) {
-  return std::make_shared<const codesign::AppRequirements>(
-      serve::testing::make_test_requirements(name));
-}
-
 TEST(OnlineConcurrencyTest, ReadersSeeOnlyCompleteSnapshotsDuringPublishRace) {
-  VersionedModel slot;
+  serve::ModelRegistry registry;
   constexpr int kPublishes = 400;
   constexpr int kReaders = 4;
 
@@ -36,17 +29,17 @@ TEST(OnlineConcurrencyTest, ReadersSeeOnlyCompleteSnapshotsDuringPublishRace) {
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&slot, &done, &failed] {
+    readers.emplace_back([&registry, &done, &failed] {
       std::uint64_t last_seen = 0;
       while (!done.load(std::memory_order_acquire)) {
-        const auto snapshot = slot.current();
-        const std::uint64_t epoch = slot.epoch();
+        const auto snapshot = registry.version_of("app");
         if (snapshot == nullptr) continue;
-        // A snapshot is all-or-nothing: its models pointer is set and its
-        // version id never runs ahead of the slot epoch (current was
-        // loaded first) or behind what this reader already saw.
-        if (snapshot->models == nullptr || snapshot->version == 0 ||
-            snapshot->version > epoch || snapshot->version < last_seen) {
+        // A snapshot is all-or-nothing: its models pointer is set, its
+        // provenance comes from the publish that made its version (publish
+        // i carries rows i), and versions never run backwards.
+        if (snapshot->models == nullptr || snapshot->models->name != "app" ||
+            snapshot->version == 0 || snapshot->rows != snapshot->version ||
+            snapshot->version < last_seen) {
           failed.store(true, std::memory_order_release);
           return;
         }
@@ -56,21 +49,24 @@ TEST(OnlineConcurrencyTest, ReadersSeeOnlyCompleteSnapshotsDuringPublishRace) {
   }
 
   for (int i = 0; i < kPublishes; ++i) {
-    slot.publish(bundle("app"), VersionSource::kOnlineRefit,
-                 static_cast<std::uint64_t>(i + 1), 0.1);
-    if (i % 16 == 15) slot.rollback();  // rollbacks are publishes too
+    registry.publish(serve::testing::make_test_requirements("app"),
+                     serve::VersionSource::kOnlineRefit,
+                     static_cast<std::uint64_t>(i + 1), 0.1);
   }
   done.store(true, std::memory_order_release);
   for (auto& reader : readers) reader.join();
 
   EXPECT_FALSE(failed.load());
-  ASSERT_NE(slot.current(), nullptr);
-  EXPECT_EQ(slot.current()->version, slot.epoch());
+  const auto last = registry.version_of("app");
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->version, static_cast<std::uint64_t>(kPublishes));
+  EXPECT_EQ(registry.stats().hot_swaps,
+            static_cast<std::uint64_t>(kPublishes - 1));
 }
 
 TEST(OnlineConcurrencyTest, IngestRefitAndQueryRaceOnOneKey) {
   // Fit-on-demand and the online refitter share the registry's
-  // single-flight gate; queries read through the atomic slot. Hammer all
+  // single-flight gate; queries read the current snapshot. Hammer all
   // three on the same key and check that every observation is coherent.
   serve::ModelRegistry registry(
       [](const std::string& app) {

@@ -1,5 +1,6 @@
 // OnlineService end to end: ingest over the serve protocol, policy-driven
-// refits, hot-swap, rollback, failure handling, and status reporting.
+// refits, hot-swap, the quality guard, failure handling, and status
+// reporting.
 #include "online/service.hpp"
 
 #include <gtest/gtest.h>
@@ -108,7 +109,7 @@ TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   const auto version = registry.version_of("TestApp");
   ASSERT_NE(version, nullptr);
   EXPECT_EQ(version->version, 1u);
-  EXPECT_EQ(version->source, VersionSource::kOnlineRefit);
+  EXPECT_EQ(version->source, serve::VersionSource::kOnlineRefit);
   EXPECT_EQ(version->rows, 3u);
   EXPECT_DOUBLE_EQ(version->mean_abs_relative_error, 0.1);
   ASSERT_EQ(fitter.rows_seen.size(), 1u);
@@ -216,7 +217,7 @@ TEST(OnlineServiceTest, RowsStayPendingWhileAQueryTriggeredFitHoldsTheGate) {
   const auto version = registry.version_of("app");
   ASSERT_NE(version, nullptr);
   EXPECT_EQ(version->version, 2u);  // the query's fit, then the refit
-  EXPECT_EQ(version->source, VersionSource::kOnlineRefit);
+  EXPECT_EQ(version->source, serve::VersionSource::kOnlineRefit);
   EXPECT_EQ(version->rows, 3u);
 }
 
@@ -394,10 +395,11 @@ TEST(OnlineServiceTest, StalenessTriggersRefitWithoutReachingRowThreshold) {
   }
   EXPECT_EQ(service.stats().refits, 1u);
   ASSERT_NE(registry.version_of("app"), nullptr);
-  EXPECT_EQ(registry.version_of("app")->source, VersionSource::kOnlineRefit);
+  EXPECT_EQ(registry.version_of("app")->source,
+            serve::VersionSource::kOnlineRefit);
 }
 
-TEST(OnlineServiceTest, QualityRegressionRollsBackToPreviousVersion) {
+TEST(OnlineServiceTest, QualityRegressionIsNeverPublished) {
   serve::ModelRegistry registry;
   OnlineServiceOptions options;
   options.policy.refit_rows = 1;
@@ -419,15 +421,15 @@ TEST(OnlineServiceTest, QualityRegressionRollsBackToPreviousVersion) {
   service.drain();
 
   const OnlineStats stats = service.stats();
-  EXPECT_EQ(stats.refits, 2u);
+  EXPECT_EQ(fitter.calls.load(), 2);
+  EXPECT_EQ(stats.refits, 1u);
   EXPECT_EQ(stats.rollbacks, 1u);
-  const auto current = registry.version_of("app");
-  ASSERT_NE(current, nullptr);
-  // Rolled back: the good bundle is current again (same object), as a new
-  // epoch with rollback provenance.
-  EXPECT_EQ(current->models, v1->models);
-  EXPECT_EQ(current->source, VersionSource::kRollback);
-  EXPECT_EQ(current->version, 3u);
+  EXPECT_EQ(stats.last_version, 1u);
+  // The guard runs before the publish: the v1 snapshot itself is still
+  // current and the registry never swapped, so no query could have been
+  // answered from the rejected fit.
+  EXPECT_EQ(registry.version_of("app"), v1);
+  EXPECT_EQ(registry.stats().hot_swaps, 0u);
 }
 
 TEST(OnlineServiceTest, FitFailureKeepsServingThePreviousVersion) {
@@ -580,7 +582,7 @@ TEST(OnlineServiceTest, RefitKeepsTheRegisteredName) {
   const auto kripke = registry.version_of("kripke");
   ASSERT_NE(kripke, nullptr);
   EXPECT_EQ(kripke->version, 2u);
-  EXPECT_EQ(kripke->source, VersionSource::kOnlineRefit);
+  EXPECT_EQ(kripke->source, serve::VersionSource::kOnlineRefit);
   EXPECT_EQ(kripke->models->name, "Kripke");
   const auto fresh = registry.version_of("newapp");
   ASSERT_NE(fresh, nullptr);

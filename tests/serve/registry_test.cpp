@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -47,7 +48,8 @@ TEST(ServeRegistryTest, InsertAndCaseInsensitiveLookup) {
 TEST(ServeRegistryTest, MissWithoutFitterThrows) {
   ModelRegistry registry;
   EXPECT_THROW(registry.get("nope"), exareq::InvalidArgument);
-  EXPECT_EQ(registry.find("nope"), nullptr);
+  EXPECT_EQ(registry.version_of("nope"), nullptr);
+  EXPECT_TRUE(registry.app_names().empty());
 }
 
 // Satellite: serialization round trip through the registry — write models
@@ -167,11 +169,11 @@ TEST(ServeRegistryTest, PublishHotSwapsAndTracksVersions) {
   const auto v1 = registry.version_of("app");
   ASSERT_NE(v1, nullptr);
   EXPECT_EQ(v1->version, 1u);
-  EXPECT_EQ(v1->source, online::VersionSource::kInsert);
+  EXPECT_EQ(v1->source, VersionSource::kInsert);
   EXPECT_EQ(registry.stats().hot_swaps, 0u);  // first publish, no swap
 
   const std::uint64_t v2 = registry.publish(
-      make_test_requirements("App"), online::VersionSource::kOnlineRefit,
+      make_test_requirements("App"), VersionSource::kOnlineRefit,
       /*rows=*/25, /*mean_abs_relative_error=*/0.02);
   EXPECT_EQ(v2, 2u);
   const auto current = registry.version_of("App");
@@ -183,22 +185,19 @@ TEST(ServeRegistryTest, PublishHotSwapsAndTracksVersions) {
   EXPECT_EQ(registry.stats().apps, 1u);  // still one app, two versions
 }
 
-TEST(ServeRegistryTest, RollbackRestoresTheDisplacedVersion) {
+TEST(ServeRegistryTest, SourceNamesAreStable) {
+  EXPECT_EQ(version_source_name(VersionSource::kInsert), "insert");
+  EXPECT_EQ(version_source_name(VersionSource::kFile), "file");
+  EXPECT_EQ(version_source_name(VersionSource::kFitOnDemand), "fit-on-demand");
+  EXPECT_EQ(version_source_name(VersionSource::kOnlineRefit), "online-refit");
+}
+
+TEST(ServeRegistryTest, DefaultQualityIsUnknown) {
   ModelRegistry registry;
-  EXPECT_FALSE(registry.rollback("ghost"));  // unknown app
-
-  registry.insert(make_test_requirements("App"));
-  EXPECT_FALSE(registry.rollback("app"));  // no displaced version yet
-
-  const auto good = registry.get("app");
-  registry.publish(make_test_requirements("App"),
-                   online::VersionSource::kOnlineRefit, 10, 0.9);
-  ASSERT_TRUE(registry.rollback("APP"));
-  const auto restored = registry.version_of("app");
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->source, online::VersionSource::kRollback);
-  EXPECT_EQ(restored->version, 3u);  // rollback is a forward publish
-  EXPECT_EQ(registry.get("app"), good);  // same bundle object again
+  registry.publish(make_test_requirements("app"), VersionSource::kFile);
+  const auto snapshot = registry.version_of("app");
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_TRUE(std::isnan(snapshot->mean_abs_relative_error));
 }
 
 TEST(ServeRegistryTest, ModelInfosReportVersionProvenanceAndAge) {
@@ -206,7 +205,7 @@ TEST(ServeRegistryTest, ModelInfosReportVersionProvenanceAndAge) {
   registry.insert(make_test_requirements("Beta"));
   registry.insert(make_test_requirements("Alpha"));
   registry.publish(make_test_requirements("Beta"),
-                   online::VersionSource::kOnlineRefit, 12, 0.05);
+                   VersionSource::kOnlineRefit, 12, 0.05);
 
   const auto infos = registry.model_infos();
   ASSERT_EQ(infos.size(), 2u);
@@ -214,7 +213,7 @@ TEST(ServeRegistryTest, ModelInfosReportVersionProvenanceAndAge) {
   EXPECT_EQ(infos[1].name, "Beta");
   EXPECT_EQ(infos[0].version, 1u);
   EXPECT_EQ(infos[1].version, 2u);
-  EXPECT_EQ(infos[1].source, online::VersionSource::kOnlineRefit);
+  EXPECT_EQ(infos[1].source, VersionSource::kOnlineRefit);
   EXPECT_EQ(infos[1].rows, 12u);
   EXPECT_GE(infos[0].age_seconds, 0.0);
 }

@@ -249,6 +249,26 @@ TEST(ShardedServerTest, UnknownAppAndBadRequestsAnswerErrors) {
   EXPECT_EQ(server.handle_line("bogus").rfind("error bad-request", 0), 0u);
 }
 
+TEST(ShardedServerTest, NonFiniteUpgradeRatioAnswersANumericError) {
+  // loads_stores = 50 + 10 p^2 n overflows to inf at p = 1e200, so the
+  // memory access ratio of every upgrade is not a number.
+  exareq::codesign::AppRequirements app = make_test_requirements("Quad");
+  app.loads_stores = exareq::model::Model(
+      {"p", "n"}, 50.0,
+      {exareq::model::Term{10.0, {exareq::model::pmnf_factor(0, 2.0, 0.0),
+                                  exareq::model::pmnf_factor(1, 1.0, 0.0)}}});
+  ShardedServer server(options_with(2));
+  server.insert(app);
+  const std::string answer = server.handle_line("upgrade Quad 1e200 2e9");
+  EXPECT_EQ(answer.rfind("error numeric: ", 0), 0u) << answer;
+  EXPECT_NE(answer.find("memory access ratio"), std::string::npos) << answer;
+  // Asked again, the cached answer is the same error, and a baseline where
+  // the model stays finite still answers.
+  EXPECT_EQ(server.handle_line("upgrade quad 1e200 2e9"), answer);
+  EXPECT_EQ(server.handle_line("upgrade Quad 1e3 2e9").rfind("ok upgrade ", 0),
+            0u);
+}
+
 TEST(ShardedServerTest, StatusAnsweredAtFrontEndWithShardCount) {
   ShardedServer server(options_with(3));
   load_apps(server);
@@ -527,7 +547,7 @@ TEST(ShardedServerTest, LoadFileRoutesToOwningShard) {
     }
     ASSERT_EQ(infos.size(), 1u);
     EXPECT_EQ(infos[0].name, "LULESH");
-    EXPECT_EQ(infos[0].source, exareq::online::VersionSource::kFile);
+    EXPECT_EQ(infos[0].source, exareq::serve::VersionSource::kFile);
     EXPECT_EQ(status.metrics.files_loaded, 1u);
   }
   EXPECT_EQ(server.handle_line("eval lulesh flops 64 1024"),
