@@ -22,6 +22,27 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+/// Candidates scoring within this fraction of the best are considered
+/// ties and resolved toward lower structural complexity. Generous on
+/// purpose: the PMNF grid contains many shapes that only differ beyond
+/// measurement precision, and the paper's workflow values interpretable
+/// (simple) models.
+constexpr double kTieTolerance = 0.05;
+
+/// Terms whose largest relative contribution over the measured points
+/// falls below this share are dropped from the final model: they fit
+/// sub-noise residuals in-sample yet can dominate (and wreck) the
+/// extrapolation — a p^3 term with a 0.2% in-sample share is invisible to
+/// cross-validation but grows 8x per process-count doubling.
+constexpr double kMinTermContribution = 0.01;
+
+/// Hypotheses whose term coefficients vary by more than this relative
+/// spread (stddev / |mean|) across the leave-one-out folds are rejected:
+/// a genuine requirement term is estimable from any subset of the
+/// measurements, while a noise-chasing term's coefficient is dictated by
+/// whichever points happen to be in the fold.
+constexpr double kMaxCoefficientSpread = 0.5;
+
 /// Scale used to turn absolute deviations at near-zero observations into
 /// meaningful relative errors.
 double observation_scale(std::span<const double> values) {
@@ -173,6 +194,9 @@ class ScoreMemo {
 ///   being scored — its factorization, one weighted column at a time, and
 ///   its leave-one-out folds (the scalar engine's per-fold rows and
 ///   coefficients in `subset` and `fold_table`);
+/// - `fold_refit`, `fold_columns`: the batched engine's refit of a fold
+///   whose downdate is flagged singular (with `subset` and `weighted`),
+///   while `qr` and `folds` hold the hypothesis;
 /// - `trial`: the columns of a trial hypothesis handed to cv_score;
 /// - `prefix`, `key`, `missing`, `fresh`: one generation of
 ///   score_extensions_batch, held while its candidate bodies run.
@@ -182,6 +206,8 @@ struct Workspace {
   LeaveOneOutFolds folds;
   std::vector<std::size_t> subset;
   std::vector<double> fold_table;
+  RetainedQr fold_refit;
+  std::vector<const Column*> fold_columns;
   std::vector<const Column*> trial;
   RetainedQr prefix;
   std::vector<const Column*> key;
@@ -233,12 +259,14 @@ struct FitEngine::Impl {
   // Precomputed once per engine: the fitter's weighted view of the data.
   // Every solve factors [w*1, w*col_1, ...] against w*y over some rows, so
   // the row weights are shared by every hypothesis and fold the engine ever
-  // fits. The near-zero floor of the relative-residual weights is anchored
-  // to the whole data set, so a leave-one-out fold weighs each surviving
-  // row exactly like the full fit does.
+  // fits. The weights w = 1/|y| make the residuals relative, so small-scale
+  // configurations count as much as large ones, which is what an
+  // extrapolating model needs. Their near-zero floor is anchored to the
+  // whole data set, so a leave-one-out fold weighs each surviving row
+  // exactly like the full fit does.
   double obs_scale = 1.0;
-  std::vector<double> row_weights;  ///< empty when absolute residuals
-  std::vector<double> ones;         ///< the intercept's basis column
+  std::vector<double> row_weights;
+  std::vector<double> ones;  ///< the intercept's basis column
   std::vector<std::size_t> every_row;
 
   Impl(const MeasurementSet& data_in, const FitOptions& options_in)
@@ -252,12 +280,10 @@ struct FitEngine::Impl {
     ones.assign(m, 1.0);
     every_row.resize(m);
     for (std::size_t r = 0; r < m; ++r) every_row[r] = r;
-    if (options.relative_residuals) {
-      row_weights.resize(m);
-      for (std::size_t r = 0; r < m; ++r) {
-        row_weights[r] =
-            1.0 / std::max(std::fabs(data.value(r)), 1e-9 * obs_scale);
-      }
+    row_weights.resize(m);
+    for (std::size_t r = 0; r < m; ++r) {
+      row_weights[r] =
+          1.0 / std::max(std::fabs(data.value(r)), 1e-9 * obs_scale);
     }
   }
 
@@ -291,7 +317,7 @@ struct FitEngine::Impl {
       if (folds.size() < 2) continue;
       const double mean_coefficient = exareq::mean(folds);
       const double spread = exareq::stddev(folds);
-      if (spread > options.max_coefficient_spread *
+      if (spread > kMaxCoefficientSpread *
                        std::max(std::fabs(mean_coefficient), 1e-300)) {
         return false;
       }
@@ -304,8 +330,7 @@ struct FitEngine::Impl {
                      std::vector<double>& out) const {
     out.resize(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      out[i] = column[rows[i]];
-      if (!row_weights.empty()) out[i] *= row_weights[rows[i]];
+      out[i] = column[rows[i]] * row_weights[rows[i]];
     }
   }
 
@@ -349,25 +374,33 @@ struct FitEngine::Impl {
     return admissible(solution.data(), solution.size(), 1);
   }
 
-  /// Weighted least-squares fit of [1, columns...] over `rows` into
-  /// `ws.qr`: one factorization, counted as a solve. False when
-  /// underdetermined, rank-deficient, or rejected by `admissible`;
-  /// otherwise ws.qr.solution() is [constant, coefficients...].
+  /// Weighted least-squares fit of [1, columns...] over `rows` into `qr`
+  /// (`weighted` carries one column at a time): one factorization, counted
+  /// as a solve. False when underdetermined, rank-deficient, or rejected by
+  /// `admissible`; otherwise qr.solution() is [constant, coefficients...].
   bool solve_coefficients(Columns columns, std::span<const std::size_t> rows,
-                          Workspace& ws) {
+                          RetainedQr& qr, std::vector<double>& weighted) {
     if (rows.size() < columns.size() + 1) return false;  // underdetermined
     solves.fetch_add(1, std::memory_order_relaxed);
-    factor_basis(columns, rows, ws.qr, ws.weighted);
-    if (ws.qr.rank_deficient()) return false;
-    ws.qr.solve();
-    return admissible(ws.qr.solution());
+    factor_basis(columns, rows, qr, weighted);
+    if (qr.rank_deficient()) return false;
+    qr.solve();
+    return admissible(qr.solution());
+  }
+
+  /// The rows of data except `left_out` into `subset`: one fold's rows.
+  void fold_rows(std::size_t left_out, std::vector<std::size_t>& subset) const {
+    subset.clear();
+    for (std::size_t r = 0; r < data.size(); ++r) {
+      if (r != left_out) subset.push_back(r);
+    }
   }
 
   /// solve_coefficients over every row, copied out of the workspace.
   CoefficientFit fit_coefficients(Columns columns) {
     CoefficientFit fit;
     Workspace& ws = thread_workspace();
-    if (!solve_coefficients(columns, every_row, ws)) return fit;
+    if (!solve_coefficients(columns, every_row, ws.qr, ws.weighted)) return fit;
     const std::vector<double>& solution = ws.qr.solution();
     fit.constant = solution[0];
     fit.coefficients.assign(solution.begin() + 1, solution.end());
@@ -375,13 +408,47 @@ struct FitEngine::Impl {
     return fit;
   }
 
-  /// LOO score from an already-solved factorization: admissibility of the
-  /// full fit, then every fold by a rank-one downdate instead of a refit.
+  /// Refits fold `left_out` of the hypothesis [prefix..., last] (`last`
+  /// may be null) over the other m-1 rows, as the scalar engine does: the
+  /// batched engine's fallback for a fold whose downdate is flagged
+  /// singular. The flag says the downdate is unusable, not the fold — the
+  /// remaining rows, re-equilibrated, can still determine every
+  /// coefficient. Writes the fold's coefficients into column `left_out` of
+  /// `folds`' table, so the spread check reads them, and its prediction of
+  /// the left-out row into `predicted`. False when the refit is
+  /// rank-deficient or inadmissible. The caller holds the workspace's `qr`
+  /// and `folds`, so the refit factors into `fold_refit`.
+  bool refit_fold(Columns prefix, const Column* last, std::size_t left_out,
+                  LeaveOneOutFolds& folds, double& predicted) {
+    const std::size_t m = data.size();
+    Workspace& ws = thread_workspace();
+    ws.fold_columns.assign(prefix.begin(), prefix.end());
+    if (last != nullptr) ws.fold_columns.push_back(last);
+    fold_rows(left_out, ws.subset);
+    if (!solve_coefficients(ws.fold_columns, ws.subset, ws.fold_refit,
+                            ws.weighted)) {
+      return false;
+    }
+    const std::vector<double>& fit = ws.fold_refit.solution();
+    predicted = fit[0];
+    folds.coefficients[left_out] = fit[0];
+    for (std::size_t c = 0; c < ws.fold_columns.size(); ++c) {
+      predicted += fit[c + 1] * (*ws.fold_columns[c])[left_out];
+      folds.coefficients[(c + 1) * m + left_out] = fit[c + 1];
+    }
+    return true;
+  }
+
+  /// LOO score from an already-solved factorization of the hypothesis
+  /// [prefix..., last] (`last` may be null): admissibility of the full
+  /// fit, then every fold by a rank-one downdate instead of a refit, except
+  /// that a fold whose downdate is flagged singular is refit (refit_fold).
   /// Checks per fold mirror the scalar path exactly — the same
-  /// `admissible`, and the leverage guard standing in for per-fold rank
-  /// deficiency — so both paths reject the same hypotheses. Counts one
-  /// downdate per fold up to and including the first rejected one.
-  double cv_from_factored(const RetainedQr& qr, LeaveOneOutFolds& folds) {
+  /// `admissible` and the same spread check over the fold coefficients —
+  /// so both paths reject the same hypotheses. Counts one downdate per
+  /// downdated fold up to and including the first rejected one.
+  double cv_from_factored(const RetainedQr& qr, LeaveOneOutFolds& folds,
+                          Columns prefix, const Column* last) {
     const std::size_t m = data.size();
     const std::size_t n = qr.cols();
     if (!admissible(qr.solution())) return kInfinity;
@@ -391,20 +458,25 @@ struct FitEngine::Impl {
     const double score = [&] {
       double total = 0.0;
       for (std::size_t left_out = 0; left_out < m; ++left_out) {
-        ++checked;
-        if (folds.singular[left_out] != 0 ||
-            !admissible(folds.coefficients.data() + left_out, n, m)) {
-          return kInfinity;
+        double predicted = 0.0;
+        if (folds.singular[left_out] != 0) {
+          if (!refit_fold(prefix, last, left_out, folds, predicted)) {
+            return kInfinity;
+          }
+        } else {
+          ++checked;
+          if (!admissible(folds.coefficients.data() + left_out, n, m)) {
+            return kInfinity;
+          }
+          // The fold's prediction error comes from the PRESS residual, not
+          // from re-summing the downdated coefficients — the factored form
+          // is exact where the coefficient reconstruction cancels on
+          // near-exact fits. The residual lives in the weighted problem;
+          // dividing by the row weight (== 1 / relative_error's
+          // denominator) takes it back.
+          predicted = data.value(left_out) -
+                      folds.press[left_out] / row_weights[left_out];
         }
-        // The fold's prediction error comes from the PRESS residual, not
-        // from re-summing the downdated coefficients — the factored form is
-        // exact where the coefficient reconstruction cancels on near-exact
-        // fits. The residual lives in the weighted problem; dividing by the
-        // row weight (== 1 / relative_error's denominator) takes it back.
-        const double weight =
-            row_weights.empty() ? 1.0 : row_weights[left_out];
-        const double predicted =
-            data.value(left_out) - folds.press[left_out] / weight;
         total += relative_error(predicted, data.value(left_out), obs_scale);
       }
       // The term coefficients' folds, after the constant's.
@@ -428,13 +500,11 @@ struct FitEngine::Impl {
     factor_basis(columns, every_row, ws.qr, ws.weighted);
     if (ws.qr.rank_deficient()) return kInfinity;
     ws.qr.solve();
-    return cv_from_factored(ws.qr, ws.folds);
+    return cv_from_factored(ws.qr, ws.folds, columns, nullptr);
   }
 
-  /// The CV computation proper; `full_fit` lets refit() share its full-data
-  /// solve instead of repeating it (scalar mode only — the batched path
-  /// needs its own factorization for the downdates anyway).
-  double compute_cv(Columns columns, const CoefficientFit* full_fit) {
+  /// The CV computation proper: batched, or a refit per fold (scalar).
+  double compute_cv(Columns columns) {
     if (options.batched_cv) return compute_cv_batched(columns);
     const std::size_t m = data.size();
     const std::size_t k = columns.size();
@@ -444,19 +514,17 @@ struct FitEngine::Impl {
 
     // The full fit must be admissible (non-negative, full rank); otherwise
     // the hypothesis is rejected outright.
-    const bool full_admissible =
-        full_fit == nullptr ? solve_coefficients(columns, every_row, ws)
-                            : full_fit->admissible;
-    if (!full_admissible) return kInfinity;
+    if (!solve_coefficients(columns, every_row, ws.qr, ws.weighted)) {
+      return kInfinity;
+    }
 
     double total = 0.0;
     ws.fold_table.resize(k * m);
     for (std::size_t left_out = 0; left_out < m; ++left_out) {
-      ws.subset.clear();
-      for (std::size_t r = 0; r < m; ++r) {
-        if (r != left_out) ws.subset.push_back(r);
+      fold_rows(left_out, ws.subset);
+      if (!solve_coefficients(columns, ws.subset, ws.qr, ws.weighted)) {
+        return kInfinity;
       }
-      if (!solve_coefficients(columns, ws.subset, ws)) return kInfinity;
       const std::vector<double>& fit = ws.qr.solution();
       double predicted = fit[0];
       for (std::size_t c = 0; c < k; ++c) {
@@ -481,7 +549,7 @@ struct FitEngine::Impl {
     return score < kNumericallyZero ? 0.0 : score;
   }
 
-  double cv_score(Columns columns, const CoefficientFit* full_fit = nullptr) {
+  double cv_score(Columns columns) {
     hypotheses.fetch_add(1, std::memory_order_relaxed);
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
@@ -490,7 +558,7 @@ struct FitEngine::Impl {
         return *memoized;
       }
     }
-    const double score = selection_score(compute_cv(columns, full_fit));
+    const double score = selection_score(compute_cv(columns));
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
       score_memo.insert(columns, score);
@@ -562,7 +630,8 @@ struct FitEngine::Impl {
           local.qr.append_column(local.weighted);
           if (local.qr.rank_deficient()) return;  // fresh[idx] stays +inf
           local.qr.solve();
-          fresh[idx] = selection_score(cv_from_factored(local.qr, local.folds));
+          fresh[idx] = selection_score(cv_from_factored(
+              local.qr, local.folds, selected, extensions[missing[idx]]));
         });
       }
     }
@@ -599,27 +668,6 @@ std::vector<double> FitEngine::score_extensions(
   return scores;
 }
 
-FitResult FitEngine::refit(const std::vector<Term>& basis) {
-  exareq::require(!impl_->data.empty(), "refit_hypothesis: empty measurement set");
-  const auto started = std::chrono::steady_clock::now();
-  const std::vector<const Column*> columns = impl_->columns_for(basis);
-  const CoefficientFit fit = impl_->fit_coefficients(columns);
-  if (!fit.admissible) {
-    throw exareq::NumericError(
-        "refit_hypothesis: hypothesis inadmissible for this data "
-        "(underdetermined, rank-deficient, or negative coefficients)");
-  }
-  FitResult result;
-  result.model = make_model(impl_->data, basis, fit);
-  result.quality = evaluate_quality(impl_->data, result.model,
-                                    impl_->cv_score(columns, &fit));
-  result.stats = stats();
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  return result;
-}
-
 EngineStats FitEngine::stats() const {
   EngineStats snapshot;
   snapshot.hypotheses_scored = impl_->hypotheses.load();
@@ -638,18 +686,6 @@ double cross_validation_score(const MeasurementSet& data,
                               const FitOptions& options) {
   FitEngine engine(data, options);
   return engine.cv_score(basis);
-}
-
-FitResult refit_hypothesis(const MeasurementSet& data, const std::vector<Term>& basis,
-                           const FitOptions& options) {
-  exareq::require(!data.empty(), "refit_hypothesis: empty measurement set");
-  const auto started = std::chrono::steady_clock::now();
-  FitEngine engine(data, options);
-  FitResult result = engine.refit(basis);
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  return result;
 }
 
 namespace {
@@ -748,15 +784,15 @@ void score_extensions(PoolSearch& search, const std::vector<std::size_t>& select
             });
 }
 
-/// The tie rule: among candidates within tie_tolerance of the best score,
+/// The tie rule: among candidates within kTieTolerance of the best score,
 /// prefer the structurally simplest.
-const ScoredCandidate* pick_candidate(const std::vector<ScoredCandidate>& candidates,
-                                      const FitOptions& options) {
+const ScoredCandidate* pick_candidate(
+    const std::vector<ScoredCandidate>& candidates) {
   if (candidates.empty()) return nullptr;
   const double best_score = candidates.front().score;
   const ScoredCandidate* chosen = nullptr;
   for (const ScoredCandidate& c : candidates) {
-    if (c.score > best_score * (1.0 + options.tie_tolerance) + 1e-12) continue;
+    if (c.score > best_score * (1.0 + kTieTolerance) + 1e-12) continue;
     if (chosen == nullptr || c.complexity < chosen->complexity) chosen = &c;
   }
   return chosen;
@@ -779,7 +815,7 @@ void grow_hypothesis(PoolSearch& search, Hypothesis& hypothesis) {
   while (hypothesis.selected.size() < options.max_terms &&
          hypothesis.score > options.score_tolerance) {
     score_extensions(search, hypothesis.selected, search.candidates);
-    const ScoredCandidate* chosen = pick_candidate(search.candidates, options);
+    const ScoredCandidate* chosen = pick_candidate(search.candidates);
     if (chosen == nullptr) break;
     const bool significant =
         chosen->score < hypothesis.score * (1.0 - options.improvement_threshold);
@@ -825,7 +861,7 @@ void refine_hypothesis(PoolSearch& search, Hypothesis& hypothesis) {
       std::size_t best_index = SIZE_MAX;
       double best_score = hypothesis.score;
       for (std::size_t j = 0; j < search.trials.size(); ++j) {
-        if (search.scores[j] < best_score * (1.0 - options.tie_tolerance) - 1e-15) {
+        if (search.scores[j] < best_score * (1.0 - kTieTolerance) - 1e-15) {
           best_score = search.scores[j];
           best_index = search.trials[j];
         }
@@ -847,7 +883,7 @@ void refine_hypothesis(PoolSearch& search, Hypothesis& hypothesis) {
       // A term is dropped when its removal keeps the score within the tie
       // band or below the noise floor — it was fitting sub-noise residuals.
       const double keep_bound = std::max(
-          hypothesis.score * (1.0 + options.tie_tolerance), options.score_tolerance);
+          hypothesis.score * (1.0 + kTieTolerance), options.score_tolerance);
       if (std::isfinite(score) && score <= keep_bound + 1e-15) {
         hypothesis.selected.erase(hypothesis.selected.begin() +
                                   static_cast<std::ptrdiff_t>(position));
@@ -923,9 +959,9 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
       grow_hypothesis(search, branch);
       refine_hypothesis(search, branch);
       const bool better =
-          branch.score < best.score * (1.0 - options.tie_tolerance) - 1e-12;
+          branch.score < best.score * (1.0 - kTieTolerance) - 1e-12;
       const bool tied_but_simpler =
-          branch.score < best.score * (1.0 + options.tie_tolerance) + 1e-12 &&
+          branch.score < best.score * (1.0 + kTieTolerance) + 1e-12 &&
           branch.complexity(pool) < best.complexity(pool);
       if (better || (tied_but_simpler && !best.selected.empty())) {
         best = std::move(branch);
@@ -956,7 +992,7 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
             max_share,
             std::fabs(contributing.evaluate(data.coordinate(k))) / total);
       }
-      if (max_share >= options.min_term_contribution) continue;
+      if (max_share >= kMinTermContribution) continue;
       std::vector<const Column*>& trial = search.hypothesis_columns;
       search.gather(selected, trial);
       trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(t));

@@ -45,39 +45,18 @@ struct FitOptions {
   /// Reject hypotheses whose fitted term coefficients are negative;
   /// requirement metrics are counts and cannot shrink below zero.
   bool require_nonnegative = true;
-  /// Minimize relative rather than absolute residuals. Relative residuals
-  /// make small-scale configurations count as much as large ones, which is
-  /// what an extrapolating model needs.
-  bool relative_residuals = true;
-  /// Candidates scoring within this fraction of the best are considered
-  /// ties and resolved toward lower structural complexity. Generous on
-  /// purpose: the PMNF grid contains many shapes that only differ beyond
-  /// measurement precision, and the paper's workflow values interpretable
-  /// (simple) models.
-  double tie_tolerance = 0.05;
-  /// Terms whose largest relative contribution over the measured points
-  /// falls below this share are dropped from the final model: they fit
-  /// sub-noise residuals in-sample yet can dominate (and wreck) the
-  /// extrapolation — a p^3 term with a 0.2% in-sample share is invisible to
-  /// cross-validation but grows 8x per process-count doubling.
-  double min_term_contribution = 0.01;
-  /// Hypotheses whose term coefficients vary by more than this relative
-  /// spread (stddev / |mean|) across the leave-one-out folds are rejected:
-  /// a genuine requirement term is estimable from any subset of the
-  /// measurements, while a noise-chasing term's coefficient is dictated by
-  /// whichever points happen to be in the fold.
-  double max_coefficient_spread = 0.5;
   /// Score hypotheses on the batched engine: one retained QR per
   /// factorization with every leave-one-out fold obtained by a rank-one
   /// downdate, and candidate generations extending a shared selected-prefix
   /// factorization — O(candidates) solves instead of
   /// O(candidates x folds). False falls back to the per-fold scalar refits
-  /// (the differential-oracle reference). Scores agree to ~1e-12 relative
-  /// (the batched path solves the same equations along an algebraically
-  /// equivalent route, so only last-ulp rounding differs), and both modes
-  /// select the same models except where a coefficient that is zero in
-  /// exact arithmetic changes sign between a refit and a downdate (see
-  /// docs/MODELING.md, section 8).
+  /// (the differential-oracle reference). The batched path solves the same
+  /// equations along an algebraically equivalent route, so scores differ
+  /// only by rounding: about 1e-12 relative on well-conditioned data, up to
+  /// 1e-4 on ill-conditioned five-point grids. Both modes select the same
+  /// models except where a coefficient that is zero in exact arithmetic
+  /// changes sign between a refit and a downdate (see docs/MODELING.md,
+  /// section 8).
   bool batched_cv = true;
   /// Number of first-term candidates the search branches on. PMNF grids
   /// contain near-degenerate shapes (x^1.125 vs x * log2(x) over narrow
@@ -167,12 +146,6 @@ class FitEngine {
   std::vector<double> score_extensions(const std::vector<Term>& selected,
                                        const std::vector<Term>& extensions);
 
-  /// Full-data refit of a fixed basis; the full-fit admissibility check is
-  /// shared with the CV scoring so the solve counters do not double-count.
-  /// Throws NumericError when the basis is inadmissible. Fills
-  /// stats.wall_seconds with this call's duration.
-  FitResult refit(const std::vector<Term>& basis);
-
   /// Snapshot of the counters (wall_seconds stays 0; the fit drivers stamp
   /// their own duration into the results they return).
   EngineStats stats() const;
@@ -201,12 +174,6 @@ FitResult fit_with_pool_engine(FitEngine& engine, const std::vector<Term>& pool)
 FitResult fit_single_parameter(const MeasurementSet& data,
                                const SearchSpace& space = SearchSpace::paper_default(),
                                const FitOptions& options = {});
-
-/// Scores one fixed hypothesis (list of basis terms) by refitting its
-/// coefficients: returns the fitted model and quality without any search.
-/// Useful for comparing externally supplied hypotheses (ablation benches).
-FitResult refit_hypothesis(const MeasurementSet& data, const std::vector<Term>& basis,
-                           const FitOptions& options = {});
 
 /// Leave-one-out cross-validation score of a fixed basis (lower is better;
 /// +inf when the hypothesis is inadmissible for this data).

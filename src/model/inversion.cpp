@@ -1,7 +1,6 @@
 #include "model/inversion.hpp"
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "support/error.hpp"
@@ -73,34 +72,6 @@ double invert_model_in_parameter(const Model& model, std::size_t parameter,
         return model.evaluate(point);
       },
       target, options);
-}
-
-bool is_monotone_in_parameter(const Model& model, std::size_t parameter,
-                              std::span<const double> coordinate, double lo,
-                              double hi, std::size_t probes) {
-  exareq::require(coordinate.size() == model.parameter_names().size(),
-                  "is_monotone_in_parameter: coordinate width mismatch");
-  exareq::require(parameter < coordinate.size(),
-                  "is_monotone_in_parameter: parameter out of range");
-  exareq::require(lo >= 1.0, "is_monotone_in_parameter: lower bound must be >= 1");
-  exareq::require(hi > lo,
-                  "is_monotone_in_parameter: need hi > lo (a degenerate range "
-                  "has no geometric probe spacing)");
-  exareq::require(probes >= 2,
-                  "is_monotone_in_parameter: need at least 2 probes (the "
-                  "probe ratio divides by probes - 1)");
-  std::vector<double> point(coordinate.begin(), coordinate.end());
-  const double ratio = std::pow(hi / lo, 1.0 / static_cast<double>(probes - 1));
-  double previous = -std::numeric_limits<double>::infinity();
-  double x = lo;
-  for (std::size_t i = 0; i < probes; ++i) {
-    point[parameter] = std::min(x, hi);
-    const double value = model.evaluate(point);
-    if (value < previous * (1.0 - 1e-12)) return false;
-    previous = value;
-    x *= ratio;
-  }
-  return true;
 }
 
 }  // namespace exareq::model

@@ -36,11 +36,4 @@ double invert_model_in_parameter(const Model& model, std::size_t parameter,
                                  std::span<const double> coordinate, double target,
                                  const InversionOptions& options = {});
 
-/// True if the model is numerically non-decreasing in `parameter` over the
-/// probe range [lo, hi] with the other components fixed (samples a
-/// geometric grid; a cheap sanity check before inversion).
-bool is_monotone_in_parameter(const Model& model, std::size_t parameter,
-                              std::span<const double> coordinate, double lo,
-                              double hi, std::size_t probes = 64);
-
 }  // namespace exareq::model

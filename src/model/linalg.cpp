@@ -174,9 +174,9 @@ void RetainedQr::leave_one_out_folds(LeaveOneOutFolds& folds) const {
     const double* const u = table + i * m;
     for (std::size_t row = 0; row < m; ++row) leverage[row] += u[row] * u[row];
   }
-  // Leverage ~ 1 means this row alone pins a direction of the fit; without
-  // it the system drops rank — the batched analogue of the scalar path's
-  // per-fold rank deficiency.
+  // Leverage within 1e-12 of 1 leaves the downdate dividing by a vanishing
+  // 1 - h, so its fold is flagged. That need not mean the remaining rows
+  // lose rank: refit and re-equilibrated, they may still determine the fit.
   for (std::size_t row = 0; row < m; ++row) {
     folds.singular[row] = 1.0 - leverage[row] < 1e-12 ? 1 : 0;
   }

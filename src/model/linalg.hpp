@@ -25,9 +25,12 @@ struct LeaveOneOutFolds {
   /// press[row] = b_row - a_row . x_loo: the left-out row's prediction
   /// error under its fold's fit (the PRESS residual).
   std::vector<double> press;
-  /// Non-zero where the fold is numerically singular (the row's leverage
-  /// is within tolerance of 1); that fold's coefficients and PRESS
-  /// residual are meaningless.
+  /// Non-zero where the fold's downdate is numerically singular: the row's
+  /// leverage is within tolerance of 1, so the downdate divides by a
+  /// vanishing 1 - h and that fold's coefficients and PRESS residual are
+  /// meaningless. The fold itself may be fine — the other rows, refit and
+  /// re-equilibrated, can still determine every coefficient — so a caller
+  /// that needs the fold refits it (the fitter does).
   std::vector<unsigned char> singular;
 };
 
@@ -90,13 +93,12 @@ class RetainedQr {
   /// Every leave-one-out fit at once: for each row, the coefficients of
   /// the fit with that row removed, by a Sherman-Morrison rank-one
   /// downdate of the factored system — O(cols^2) per row instead of a
-  /// refit — plus its PRESS residual e / (1 - h) and whether the downdated
-  /// system is numerically singular (the row's leverage is within
-  /// tolerance of 1, so removing it would drop the rank: the analogue of
-  /// the per-fold rank deficiency a refit detects). Each fold runs the
-  /// same operations in the same order as a downdate of that row alone;
-  /// the loops run across rows, so the folds vectorize. Requires solve()
-  /// and rows() > cols().
+  /// refit — plus its PRESS residual e / (1 - h) and whether that downdate
+  /// is numerically singular (the row's leverage is within tolerance of 1;
+  /// see LeaveOneOutFolds::singular). Each fold runs the same operations
+  /// in the same order as a downdate of that row alone; the loops run
+  /// across rows, so the folds vectorize. Requires solve() and
+  /// rows() > cols().
   ///
   /// Prefer the PRESS residual over re-deriving the left-out error from
   /// the coefficients: that form is exact in the factored quantities,

@@ -1,7 +1,5 @@
 #include "model/model.hpp"
 
-#include <cmath>
-
 #include "support/error.hpp"
 #include "support/format.hpp"
 
@@ -104,42 +102,6 @@ bool Model::depends_on(std::size_t parameter) const {
     if (term.depends_on(parameter)) return true;
   }
   return false;
-}
-
-std::size_t Model::dominant_term(std::span<const double> coordinate) const {
-  exareq::require(!terms_.empty(), "Model::dominant_term: constant model");
-  std::size_t best = 0;
-  double best_value = -1.0;
-  for (std::size_t i = 0; i < terms_.size(); ++i) {
-    const double value = std::fabs(terms_[i].evaluate(coordinate));
-    if (value > best_value) {
-      best_value = value;
-      best = i;
-    }
-  }
-  return best;
-}
-
-Model Model::remap_parameters(std::vector<std::string> new_names,
-                              std::span<const std::size_t> mapping) const {
-  exareq::require(new_names.size() == mapping.size(),
-                  "Model::remap_parameters: names/mapping size mismatch");
-  // Invert the mapping: old parameter index -> new index.
-  std::vector<std::size_t> inverse(parameter_names_.size(), SIZE_MAX);
-  for (std::size_t l = 0; l < mapping.size(); ++l) {
-    exareq::require(mapping[l] < parameter_names_.size(),
-                    "Model::remap_parameters: mapping out of range");
-    inverse[mapping[l]] = l;
-  }
-  std::vector<Term> new_terms = terms_;
-  for (Term& term : new_terms) {
-    for (Factor& f : term.factors) {
-      exareq::require(inverse[f.parameter] != SIZE_MAX,
-                      "Model::remap_parameters: term uses unmapped parameter");
-      f.parameter = inverse[f.parameter];
-    }
-  }
-  return Model(std::move(new_names), constant_, std::move(new_terms));
 }
 
 std::string Model::to_string() const {

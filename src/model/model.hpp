@@ -71,16 +71,6 @@ class Model {
   /// True if any non-constant term depends on parameter `parameter`.
   bool depends_on(std::size_t parameter) const;
 
-  /// Index of the term with the largest absolute contribution at
-  /// `coordinate`; requires a non-constant model.
-  std::size_t dominant_term(std::span<const double> coordinate) const;
-
-  /// Restricts the model to another parameter order/subset: `mapping[l]` is
-  /// the index of new parameter l in this model. Every term factor must
-  /// reference a mapped parameter.
-  Model remap_parameters(std::vector<std::string> new_names,
-                         std::span<const std::size_t> mapping) const;
-
   /// Human-readable rendering: "1.2e+03 + 4.5e+01 * n * log2(p)".
   std::string to_string() const;
 

@@ -36,21 +36,6 @@ std::vector<std::byte> Communicator::recv_bytes(Rank source, Tag tag) {
   return std::move(envelope.payload);
 }
 
-std::pair<Rank, std::vector<std::byte>> Communicator::recv_bytes_any(Tag tag) {
-  Envelope envelope = runtime_.receive(rank_, kAnySource, tag);
-  CommStats& stats = runtime_.stats(rank_);
-  stats.bytes_received += envelope.payload.size();
-  ++stats.messages_received;
-  channel_stats().bytes_received += envelope.payload.size();
-  return {envelope.source, std::move(envelope.payload)};
-}
-
-bool Communicator::probe(Rank source, Tag tag) const {
-  exareq::require(source >= 0 && source < runtime_.size(),
-                  "probe: source rank out of range");
-  return runtime_.mailbox(rank_).probe(source, tag);
-}
-
 void Communicator::barrier() {
   note_collective(CollectiveKind::kOther);
   const int p = size();
@@ -70,11 +55,6 @@ void Communicator::check_rank(Rank r, const char* what) const {
   if (r < 0 || r >= runtime_.size()) {
     throw exareq::InvalidArgument(std::string(what) + " rank out of range");
   }
-}
-
-void Communicator::check_rank_or_any(Rank r, const char* what) const {
-  if (r == kAnySource) return;
-  check_rank(r, what);
 }
 
 void Communicator::set_channel(std::string name) {

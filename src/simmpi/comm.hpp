@@ -9,7 +9,6 @@
 //   Bcast      binomial tree            busiest rank: s * log2(p) bytes
 //   Allreduce  recursive doubling       per rank:    2 * s * log2(p) bytes
 //   Alltoall   pairwise exchange        per rank:    2 * s * (p - 1) bytes
-//   Allgather  ring                     per rank:    2 * s * (p - 1) bytes
 //   Barrier    dissemination            per rank:    2 * ceil(log2 p) msgs
 #pragma once
 
@@ -89,12 +88,6 @@ class Communicator {
   /// Receive matched by (source, tag); parks this rank until a match arrives.
   std::vector<std::byte> recv_bytes(Rank source, Tag tag);
 
-  /// True if a matching message is already queued.
-  bool probe(Rank source, Tag tag) const;
-
-  /// Receive from any source; returns the sender and the payload.
-  std::pair<Rank, std::vector<std::byte>> recv_bytes_any(Tag tag);
-
   // -- typed point-to-point -----------------------------------------------
 
   template <typename T>
@@ -114,68 +107,6 @@ class Communicator {
                           Tag tag) {
     send(dest, tag, data);
     return recv<T>(source, tag);
-  }
-
-  /// Receive from any source (MPI_ANY_SOURCE analogue).
-  template <typename T>
-  std::pair<Rank, std::vector<T>> recv_any(Tag tag) {
-    auto [source, payload] = recv_bytes_any(tag);
-    return {source, from_bytes<T>(payload)};
-  }
-
-  // -- nonblocking point-to-point -------------------------------------------
-  //
-  // Sends are buffered (eager), so isend completes immediately; irecv
-  // defers the blocking match to wait(). This is enough to express the
-  // deadlock-free exchange patterns real MPI codes use Irecv/Waitall for.
-
-  /// Handle of a pending receive.
-  class Request {
-   public:
-    Request() = default;
-
-   private:
-    friend class Communicator;
-    Request(Rank source, Tag tag) : source_(source), tag_(tag), pending_(true) {}
-    Rank source_ = 0;
-    Tag tag_ = 0;
-    bool pending_ = false;
-  };
-
-  /// Buffered send; returns an already-complete request for symmetry.
-  template <typename T>
-  Request isend(Rank dest, Tag tag, std::span<const T> data) {
-    send(dest, tag, data);
-    return Request{};
-  }
-
-  /// Posts a receive to be completed by wait().
-  Request irecv(Rank source, Tag tag) {
-    check_rank_or_any(source, "irecv: source");
-    return Request(source, tag);
-  }
-
-  /// Completes a pending receive; returns its payload (empty for send
-  /// requests or already-waited requests).
-  template <typename T>
-  std::vector<T> wait(Request& request) {
-    if (!request.pending_) return {};
-    request.pending_ = false;
-    if (request.source_ == kAnySource) {
-      auto [source, payload] = recv_bytes_any(request.tag_);
-      (void)source;
-      return from_bytes<T>(payload);
-    }
-    return recv<T>(request.source_, request.tag_);
-  }
-
-  /// Completes a batch of receives, in order.
-  template <typename T>
-  std::vector<std::vector<T>> wait_all(std::span<Request> requests) {
-    std::vector<std::vector<T>> results;
-    results.reserve(requests.size());
-    for (Request& request : requests) results.push_back(wait<T>(request));
-    return results;
   }
 
   // -- collectives ----------------------------------------------------------
@@ -270,34 +201,6 @@ class Communicator {
     return value;
   }
 
-  /// Ring allgather; returns size() * data.size() elements ordered by rank.
-  template <typename T>
-  std::vector<T> allgather(std::span<const T> data) {
-    note_collective(CollectiveKind::kOther);
-    const int p = size();
-    const std::size_t chunk = data.size();
-    std::vector<T> result(static_cast<std::size_t>(p) * chunk);
-    std::copy(data.begin(), data.end(),
-              result.begin() + static_cast<std::size_t>(rank_) * chunk);
-    if (p == 1) return result;
-    const Rank next = (rank_ + 1) % p;
-    const Rank prev = (rank_ - 1 + p) % p;
-    // At step s we forward the block that originated at rank - s.
-    for (int step = 0; step < p - 1; ++step) {
-      const Rank outgoing = (rank_ - step + p) % p;
-      const Rank incoming = (rank_ - step - 1 + 2 * p) % p;
-      send<T>(next, kTagAllgather,
-              std::span<const T>(result.data() +
-                                     static_cast<std::size_t>(outgoing) * chunk,
-                                 chunk));
-      const std::vector<T> block = recv<T>(prev, kTagAllgather);
-      exareq::require(block.size() == chunk, "allgather: chunk size mismatch");
-      std::copy(block.begin(), block.end(),
-                result.begin() + static_cast<std::size_t>(incoming) * chunk);
-    }
-    return result;
-  }
-
   /// Pairwise-exchange alltoall; `data` holds size() blocks of equal size,
   /// block d destined for rank d. Returns the blocks received, ordered by
   /// source rank.
@@ -327,95 +230,6 @@ class Communicator {
     return result;
   }
 
-  /// Inclusive prefix reduction (MPI_Scan): rank i returns the element-wise
-  /// reduction over ranks 0..i. Hillis-Steele doubling: ceil(log2 p) rounds.
-  template <typename T, typename Op>
-  std::vector<T> scan(std::span<const T> data, Op op) {
-    note_collective(CollectiveKind::kOther);
-    std::vector<T> value(data.begin(), data.end());
-    const int p = size();
-    for (int distance = 1; distance < p; distance *= 2) {
-      if (rank_ + distance < p) {
-        send<T>(rank_ + distance, kTagScan, value);
-      }
-      if (rank_ - distance >= 0) {
-        // The received partial covers ranks [rank-2d+1 .. rank-d], i.e.
-        // everything below what `value` already covers: combine in front.
-        std::vector<T> lower = recv<T>(rank_ - distance, kTagScan);
-        combine(lower, value, op);
-        value = std::move(lower);
-      }
-    }
-    return value;
-  }
-
-  /// Reduce-scatter with equal blocks (MPI_Reduce_scatter_block): every
-  /// rank contributes size() blocks of `data.size() / size()` elements;
-  /// rank r returns block r reduced over all ranks. Implemented as a
-  /// pairwise alltoall followed by a local reduction.
-  template <typename T, typename Op>
-  std::vector<T> reduce_scatter(std::span<const T> data, Op op) {
-    const int p = size();
-    exareq::require(data.size() % static_cast<std::size_t>(p) == 0,
-                    "reduce_scatter: data size must be a multiple of size()");
-    const std::size_t chunk = data.size() / static_cast<std::size_t>(p);
-    const std::vector<T> blocks = alltoall<T>(data);
-    std::vector<T> result(blocks.begin(), blocks.begin() + chunk);
-    for (int r = 1; r < p; ++r) {
-      for (std::size_t i = 0; i < chunk; ++i) {
-        result[i] = op(result[i], blocks[static_cast<std::size_t>(r) * chunk + i]);
-      }
-    }
-    return result;
-  }
-
-  /// Linear gather to root; root returns size() * data.size() elements
-  /// ordered by rank, others return an empty vector.
-  template <typename T>
-  std::vector<T> gather(std::span<const T> data, Rank root) {
-    note_collective(CollectiveKind::kOther);
-    check_rank(root, "gather: root");
-    if (rank_ != root) {
-      send<T>(root, kTagGather, data);
-      return {};
-    }
-    const int p = size();
-    const std::size_t chunk = data.size();
-    std::vector<T> result(static_cast<std::size_t>(p) * chunk);
-    std::copy(data.begin(), data.end(),
-              result.begin() + static_cast<std::size_t>(rank_) * chunk);
-    for (Rank r = 0; r < p; ++r) {
-      if (r == root) continue;
-      const std::vector<T> block = recv<T>(r, kTagGather);
-      exareq::require(block.size() == chunk, "gather: chunk size mismatch");
-      std::copy(block.begin(), block.end(),
-                result.begin() + static_cast<std::size_t>(r) * chunk);
-    }
-    return result;
-  }
-
-  /// Linear scatter from root: root supplies size() blocks of `chunk`
-  /// elements; every rank returns its block.
-  template <typename T>
-  std::vector<T> scatter(std::span<const T> data, std::size_t chunk, Rank root) {
-    note_collective(CollectiveKind::kOther);
-    check_rank(root, "scatter: root");
-    if (rank_ == root) {
-      exareq::require(data.size() == chunk * static_cast<std::size_t>(size()),
-                      "scatter: root data must hold size() blocks");
-      for (Rank r = 0; r < size(); ++r) {
-        if (r == root) continue;
-        send<T>(r, kTagScatter,
-                std::span<const T>(data.data() + static_cast<std::size_t>(r) * chunk,
-                                   chunk));
-      }
-      return std::vector<T>(data.begin() + static_cast<std::size_t>(root) * chunk,
-                            data.begin() +
-                                static_cast<std::size_t>(root + 1) * chunk);
-    }
-    return recv<T>(root, kTagScatter);
-  }
-
   /// This rank's communication counters.
   const CommStats& stats() const;
 
@@ -431,11 +245,7 @@ class Communicator {
   static constexpr Tag kTagBcast = kUserTagLimit + 2;
   static constexpr Tag kTagAllreduce = kUserTagLimit + 3;
   static constexpr Tag kTagReduce = kUserTagLimit + 4;
-  static constexpr Tag kTagAllgather = kUserTagLimit + 5;
-  static constexpr Tag kTagAlltoall = kUserTagLimit + 6;
-  static constexpr Tag kTagGather = kUserTagLimit + 7;
-  static constexpr Tag kTagScatter = kUserTagLimit + 8;
-  static constexpr Tag kTagScan = kUserTagLimit + 9;
+  static constexpr Tag kTagAlltoall = kUserTagLimit + 5;
 
   template <typename T, typename Op>
   static void combine(std::vector<T>& into, const std::vector<T>& other, Op op) {
@@ -447,7 +257,6 @@ class Communicator {
   }
 
   void check_rank(Rank r, const char* what) const;
-  void check_rank_or_any(Rank r, const char* what) const;
   void note_collective(CollectiveKind kind);
   ChannelStats& channel_stats();
 

@@ -16,10 +16,4 @@ std::optional<Envelope> Mailbox::take(Rank source, Tag tag) {
   return envelope;
 }
 
-bool Mailbox::probe(Rank source, Tag tag) const {
-  return std::any_of(queue_.begin(), queue_.end(), [source, tag](const Envelope& e) {
-    return matches(e, source, tag);
-  });
-}
-
 }  // namespace exareq::simmpi

@@ -17,13 +17,9 @@
 
 namespace exareq::simmpi {
 
-/// Wildcard source for receive matching.
-inline constexpr Rank kAnySource = -1;
-
 /// True when `envelope` satisfies a receive posted for (source, tag).
 inline bool matches(const Envelope& envelope, Rank source, Tag tag) {
-  return (source == kAnySource || envelope.source == source) &&
-         envelope.tag == tag;
+  return envelope.source == source && envelope.tag == tag;
 }
 
 class Mailbox {
@@ -32,12 +28,8 @@ class Mailbox {
   void put(Envelope envelope);
 
   /// Removes and returns the earliest envelope with matching source and
-  /// tag, or nullopt when none is queued. A source of kAnySource matches
-  /// any sender.
+  /// tag, or nullopt when none is queued.
   std::optional<Envelope> take(Rank source, Tag tag);
-
-  /// True if a matching envelope is queued.
-  bool probe(Rank source, Tag tag) const;
 
   /// Number of queued envelopes (any source/tag).
   std::size_t pending() const { return queue_.size(); }

@@ -21,10 +21,6 @@ constexpr std::size_t kRankStackBytes = std::size_t{256} << 10;
 /// lets it pass.
 struct Cancelled {};
 
-std::string describe_source(Rank source) {
-  return source == kAnySource ? std::string("any") : std::to_string(source);
-}
-
 }  // namespace
 
 Runtime::Runtime(int size) : size_(size) {
@@ -159,7 +155,7 @@ std::string Runtime::describe_parked(const std::vector<Rank>& parked) const {
   for (std::size_t i = 0; i < parked.size() && i < kListed; ++i) {
     const RankState& state = ranks_[static_cast<std::size_t>(parked[i])];
     text += (i == 0 ? " rank " : ", rank ") + std::to_string(parked[i]) +
-            " (source " + describe_source(state.wait_source) + ", tag " +
+            " (source " + std::to_string(state.wait_source) + ", tag " +
             std::to_string(state.wait_tag) + ")";
   }
   if (parked.size() > kListed) {

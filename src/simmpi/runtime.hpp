@@ -9,11 +9,10 @@
 // then parks, and the next ready rank runs (FIFO, starting from rank 0). A
 // send that matches a parked rank's receive makes that rank ready again.
 // Nothing preempts a rank and no OS thread is created per rank, so the
-// interleaving of messages — including what recv_any returns — is the same
-// on every run, and a rank-level bug replays exactly. A switch between
-// ranks makes no system call on x86-64 (a register switch; ucontext
-// elsewhere, see fiber.hpp), and each rank keeps its own floating-point
-// control state. Parallelism comes from running several jobs on several
+// interleaving of messages is the same on every run, and a rank-level bug
+// replays exactly. A switch between ranks makes no system call on x86-64 (a
+// register switch; ucontext elsewhere, see fiber.hpp), and each rank keeps
+// its own floating-point control state. Parallelism comes from running several jobs on several
 // threads (a campaign runs one grid point per thread).
 #pragma once
 

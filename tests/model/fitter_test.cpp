@@ -160,31 +160,6 @@ TEST(FitterTest, ThrowsOnEmptyData) {
   EXPECT_THROW(fit_single_parameter(data), exareq::InvalidArgument);
 }
 
-TEST(FitterTest, RefitHypothesisReturnsCoefficients) {
-  const auto data =
-      sample_1d(kProcessCounts, [](double x) { return 4.0 * x + 100.0; });
-  Term linear;
-  linear.coefficient = 1.0;
-  linear.factors = {pmnf_factor(0, 1.0, 0.0)};
-  const FitResult result = refit_hypothesis(data, {linear});
-  EXPECT_NEAR(result.model.terms()[0].coefficient, 4.0, 1e-9);
-  EXPECT_NEAR(result.model.constant(), 100.0, 1e-6);
-}
-
-TEST(FitterTest, RefitRejectsUnderdeterminedHypothesis) {
-  MeasurementSet data({"p"});
-  data.add({2.0}, 1.0);
-  data.add({4.0}, 2.0);
-  std::vector<Term> basis;
-  for (double e : {1.0, 2.0, 3.0}) {
-    Term t;
-    t.coefficient = 1.0;
-    t.factors = {pmnf_factor(0, e, 0.0)};
-    basis.push_back(t);
-  }
-  EXPECT_THROW(refit_hypothesis(data, basis), exareq::NumericError);
-}
-
 TEST(FitterTest, CrossValidationScoreOrdersHypothesesCorrectly) {
   const auto data =
       sample_1d(kProcessCounts, [](double x) { return 7.0 * x * x; });
@@ -210,11 +185,12 @@ TEST(FitterTest, CollinearPoolTermsDoNotCrash) {
 
 TEST(FitterTest, PruningNeverTradesAFiniteScoreForInf) {
   // Regression: y = 1000 x + 2 sqrt(x) + 1e-4 x^2. The sqrt term's share
-  // never reaches min_term_contribution, so the contribution pruning tries
-  // to drop it — but its concavity is what keeps the tiny x^2 coefficient
-  // non-negative, so the pruned basis {x, x^2} is CV-inadmissible. The
-  // engine must keep the term and the finite pre-prune score instead of
-  // reporting cv_score = +inf and collapsing the model to a constant.
+  // never reaches the 1% negligible-term bar, so the contribution pruning
+  // tries to drop it — but its concavity is what keeps the tiny x^2
+  // coefficient non-negative, so the pruned basis {x, x^2} is
+  // CV-inadmissible. The engine must keep the term and the finite
+  // pre-prune score instead of reporting cv_score = +inf and collapsing the
+  // model to a constant.
   MeasurementSet data({"x"});
   double x = 4.0;
   for (int i = 0; i < 6; ++i) {
@@ -285,8 +261,8 @@ TEST(FitterTest, EngineStatsCountTheSearch) {
 }
 
 TEST(FitterTest, EngineRefitSolvesOncePerFoldPlusFull) {
-  // Scalar mode pins the historical cost model: refit shares the full-fit
-  // admissibility check with the CV scoring — one full solve plus one per
+  // Scalar mode pins the historical cost model: cv_score refits the
+  // hypothesis once on all rows (the admissibility check) and once per
   // leave-one-out fold, never a double-solve.
   const auto data =
       sample_1d(kProcessCounts, [](double v) { return 4.0 * v + 100.0; });
@@ -296,27 +272,24 @@ TEST(FitterTest, EngineRefitSolvesOncePerFoldPlusFull) {
   FitOptions scalar;
   scalar.batched_cv = false;
   FitEngine engine(data, scalar);
-  const FitResult result = engine.refit({linear});
-  EXPECT_NEAR(result.model.terms()[0].coefficient, 4.0, 1e-9);
+  EXPECT_EQ(engine.cv_score({linear}), 0.0);
   EXPECT_EQ(engine.stats().cv_solves, data.size() + 1);
   EXPECT_EQ(engine.stats().downdates, 0u);
 }
 
 TEST(FitterTest, BatchedRefitSolvesOncePlusDowndates) {
   // Batched mode replaces the per-fold refits with rank-one downdates: one
-  // scalar coefficient solve, one retained-QR factorization, m downdates.
+  // retained-QR factorization, m downdates.
   const auto data =
       sample_1d(kProcessCounts, [](double v) { return 4.0 * v + 100.0; });
   Term linear;
   linear.coefficient = 1.0;
   linear.factors = {pmnf_factor(0, 1.0, 0.0)};
   FitEngine engine(data, FitOptions{});
-  const FitResult result = engine.refit({linear});
-  EXPECT_NEAR(result.model.terms()[0].coefficient, 4.0, 1e-9);
-  EXPECT_EQ(engine.stats().cv_solves, 2u);
-  EXPECT_EQ(engine.stats().qr_extensions, 0u);  // refit never extends a prefix
+  EXPECT_EQ(engine.cv_score({linear}), 0.0);
+  EXPECT_EQ(engine.stats().cv_solves, 1u);
+  EXPECT_EQ(engine.stats().qr_extensions, 0u);  // a lone score extends nothing
   EXPECT_EQ(engine.stats().downdates, data.size());
-  EXPECT_GT(result.stats.wall_seconds, 0.0);
 }
 
 TEST(FitterTest, BatchedAndScalarScoringAgree) {
@@ -351,8 +324,58 @@ TEST(FitterTest, BatchedAndScalarScoringAgree) {
   }
 }
 
+TEST(FitterTest, HighLeverageFoldIsRefitNotRejected) {
+  // y = 1.478 + 865.3 n^3 + 8769 sqrt(n), exactly, at n = 2, 256 .. 2048.
+  // Under the 1/|y| row weights the n = 2 row's leverage in {1, n^3,
+  // sqrt n} is within 1e-12 of 1, so its downdate is flagged singular, yet
+  // the other four rows determine all three coefficients. The batched
+  // engine must refit that fold as the scalar engine does instead of
+  // rejecting the hypothesis, which left the fit at 1.24e+04 + 865.3 * n^3
+  // (CV 1.3).
+  const auto truth = [](double n) {
+    return 1.478 + 865.3 * n * n * n + 8769.0 * std::sqrt(n);
+  };
+  MeasurementSet data({"n"});
+  for (double n : {2.0, 256.0, 512.0, 1024.0, 2048.0}) data.add({n}, truth(n));
+  for (std::size_t threads : {1u, 4u}) {
+    FitOptions options;
+    options.threads = threads;
+    const FitResult result =
+        fit_single_parameter(data, SearchSpace::paper_default(), options);
+    const std::string model = result.model.to_string();
+    EXPECT_EQ(result.quality.cv_score, 0.0) << threads << " threads: " << model;
+    EXPECT_NEAR(result.model.constant(), 1.478, 1e-6) << model;
+    ASSERT_EQ(result.model.terms().size(), 2u) << model;
+    for (const Term& term : result.model.terms()) {
+      const double exponent = term.factors[0].poly_exponent;
+      EXPECT_TRUE(exponent == 3.0 || exponent == 0.5) << model;
+      EXPECT_DOUBLE_EQ(term.factors[0].log_exponent, 0.0) << model;
+    }
+    EXPECT_NEAR(result.model.evaluate1(8192.0), truth(8192.0),
+                1e-9 * truth(8192.0))
+        << model;
+  }
+
+  const auto term = [](double poly) {
+    Term t;
+    t.coefficient = 1.0;
+    t.factors = {pmnf_factor(0, poly, 0.0)};
+    return t;
+  };
+  const std::vector<Term> planted{term(3.0), term(0.5)};
+  FitEngine engine(data, FitOptions{});
+  const double batched = engine.cv_score(planted);
+  EXPECT_TRUE(std::isfinite(batched));
+  // One factorization, four downdates and the refit of the flagged fold.
+  EXPECT_EQ(engine.stats().cv_solves, 2u);
+  EXPECT_EQ(engine.stats().downdates, data.size() - 1);
+  FitOptions scalar;
+  scalar.batched_cv = false;
+  EXPECT_EQ(batched, cross_validation_score(data, planted, scalar));
+}
+
 TEST(FitterTest, SearchPathPopulatesWallSeconds) {
-  // Regression: refit_hypothesis used to be the only entry point filling
+  // Regression: a fixed-basis refit used to be the only entry point filling
   // stats.wall_seconds; the engine/search path must report it too.
   const auto data = sample_1d(kProcessCounts,
                               [](double v) { return 3e3 * v * std::log2(v); });
@@ -367,8 +390,6 @@ TEST(FitterTest, SearchPathPopulatesWallSeconds) {
   }
   const FitResult via_engine = fit_with_pool_engine(engine, pool);
   EXPECT_GT(via_engine.stats.wall_seconds, 0.0);
-  const FitResult via_refit = refit_hypothesis(data, {pool[1]});
-  EXPECT_GT(via_refit.stats.wall_seconds, 0.0);
 }
 
 TEST(FitterTest, DegenerateDomainEdgePointsFitFinite) {

@@ -73,54 +73,6 @@ TEST(InversionTest, InvertInParameterWithOthersFixed) {
   EXPECT_NEAR(n, 76.0, 1e-6);
 }
 
-TEST(InversionTest, MonotonicityProbeDetectsIncrease) {
-  const Model m = linear_model(3.0);
-  const double coordinate[] = {1.0};
-  EXPECT_TRUE(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e6));
-}
-
-TEST(InversionTest, MonotonicityProbeDetectsDecrease) {
-  Term term;
-  term.coefficient = -2.0;
-  term.factors = {pmnf_factor(0, 1.0, 0.0)};
-  const Model m({"n"}, 1e9, {term});
-  const double coordinate[] = {1.0};
-  EXPECT_FALSE(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e6));
-}
-
-TEST(InversionTest, MonotonicityProbeValidatesItsArguments) {
-  // Regression: the geometric probe ratio divides by probes - 1, so
-  // probes <= 1 (UB/inf) and hi == lo (degenerate spacing) must be
-  // rejected with a clear message instead of probing garbage.
-  const Model m = linear_model(3.0);
-  const double coordinate[] = {1.0};
-  EXPECT_THROW(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e6, 1),
-               exareq::InvalidArgument);
-  EXPECT_THROW(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e6, 0),
-               exareq::InvalidArgument);
-  EXPECT_THROW(is_monotone_in_parameter(m, 0, coordinate, 4.0, 4.0),
-               exareq::InvalidArgument);
-  EXPECT_THROW(is_monotone_in_parameter(m, 0, coordinate, 8.0, 4.0),
-               exareq::InvalidArgument);
-  EXPECT_THROW(is_monotone_in_parameter(m, 0, coordinate, 0.5, 4.0),
-               exareq::InvalidArgument);
-  // Out-of-range parameter index / wrong coordinate width would write past
-  // the probe point; both must throw up front.
-  EXPECT_THROW(is_monotone_in_parameter(m, 1, coordinate, 1.0, 1e6),
-               exareq::InvalidArgument);
-  const double wide[] = {1.0, 2.0};
-  EXPECT_THROW(is_monotone_in_parameter(m, 0, wide, 1.0, 1e6),
-               exareq::InvalidArgument);
-  // The smallest valid probe count still works.
-  EXPECT_TRUE(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e6, 2));
-}
-
-TEST(InversionTest, ConstantModelIsMonotone) {
-  const Model m = Model::constant_model({"n"}, 4.0);
-  const double coordinate[] = {1.0};
-  EXPECT_TRUE(is_monotone_in_parameter(m, 0, coordinate, 1.0, 100.0));
-}
-
 TEST(InversionTest, PrecisionIsTight) {
   const Model m = linear_model(7.0);
   const double n = invert_model(m, 7.0 * 123456.789);
@@ -140,22 +92,19 @@ Model sqrt_model(double coefficient) {
 }
 
 TEST(InversionEdgeTest, DecreasingModelIsFlaggedAndRefusedCleanly) {
-  // A fit with a dominant negative coefficient is decreasing: the probe
-  // must flag it, and inversion must refuse (f(lower_bound) already
-  // overshoots every smaller target) instead of bisecting garbage.
+  // A fit with a dominant negative coefficient is decreasing: inversion
+  // must refuse (f(lower_bound) already overshoots every smaller target)
+  // instead of bisecting garbage.
   Term term;
   term.coefficient = -3.0;
   term.factors = {pmnf_factor(0, 1.0, 0.0)};
   const Model m({"n"}, 1e6, {term});
-  const double coordinate[] = {1.0};
-  EXPECT_FALSE(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e5));
   EXPECT_THROW(invert_model(m, 5e5), exareq::NumericError);
 }
 
 TEST(InversionEdgeTest, LocallyDecreasingMixedSignModelNeedsShiftedBound) {
-  // f(n) = 2n - 10 sqrt(n) dips until n ~ 6.25, then grows. The probe over
-  // a range containing the dip says "not monotone"; restarting above the
-  // dip makes both the probe and the inversion well-defined.
+  // f(n) = 2n - 10 sqrt(n) dips until n ~ 6.25, then grows; restarting
+  // above the dip makes the inversion well-defined.
   Term grow;
   grow.coefficient = 2.0;
   grow.factors = {pmnf_factor(0, 1.0, 0.0)};
@@ -163,9 +112,6 @@ TEST(InversionEdgeTest, LocallyDecreasingMixedSignModelNeedsShiftedBound) {
   dip.coefficient = -10.0;
   dip.factors = {pmnf_factor(0, 0.5, 0.0)};
   const Model m({"n"}, 0.0, {grow, dip});
-  const double coordinate[] = {1.0};
-  EXPECT_FALSE(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e6));
-  EXPECT_TRUE(is_monotone_in_parameter(m, 0, coordinate, 10.0, 1e6));
   InversionOptions options;
   options.lower_bound = 10.0;
   // f(100) = 200 - 100 = 100.
@@ -177,8 +123,6 @@ TEST(InversionEdgeTest, ZeroCoefficientTermsBehaveAsConstantModel) {
   term.coefficient = 0.0;
   term.factors = {pmnf_factor(0, 2.0, 1.0)};
   const Model m({"n"}, 5.0, {term});
-  const double coordinate[] = {1.0};
-  EXPECT_TRUE(is_monotone_in_parameter(m, 0, coordinate, 1.0, 1e6));
   // The flat model meets its own constant at the lower bound...
   EXPECT_NEAR(invert_model(m, 5.0), 1.0, 1e-9);
   // ...and can never reach anything above it.

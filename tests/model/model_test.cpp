@@ -55,24 +55,6 @@ TEST(ModelTest, DependsOnReportsParameters) {
   EXPECT_TRUE(m2.depends_on(1));
 }
 
-TEST(ModelTest, DominantTermPicksLargestContribution) {
-  Term small;
-  small.coefficient = 1.0;
-  small.factors = {pmnf_factor(0, 1.0, 0.0)};  // x
-  Term large;
-  large.coefficient = 1.0;
-  large.factors = {pmnf_factor(0, 2.0, 0.0)};  // x^2
-  const Model m({"x"}, 0.0, {small, large});
-  const double at_ten[] = {10.0};
-  EXPECT_EQ(m.dominant_term(at_ten), 1u);
-}
-
-TEST(ModelTest, DominantTermRejectsConstantModel) {
-  const Model m = Model::constant_model({"x"}, 1.0);
-  const double at[] = {2.0};
-  EXPECT_THROW(m.dominant_term(at), exareq::InvalidArgument);
-}
-
 TEST(ModelTest, ToStringRoundedUsesPowersOfTen) {
   Term term;
   term.coefficient = 9.4e4;  // rounds to 10^5
@@ -111,19 +93,6 @@ TEST(ModelTest, SameBasisComparesStructureOnly) {
   EXPECT_TRUE(a.same_basis(b));
   b.factors[0].poly_exponent = 2.0;
   EXPECT_FALSE(a.same_basis(b));
-}
-
-TEST(ModelTest, RemapParametersReordersFactors) {
-  const Model m = lulesh_flop_like();  // parameters {p, n}
-  const std::size_t mapping[] = {1, 0};  // new order {n, p}
-  const Model remapped = m.remap_parameters({"n", "p"}, mapping);
-  EXPECT_DOUBLE_EQ(remapped.evaluate2(8.0, 16.0), m.evaluate2(16.0, 8.0));
-}
-
-TEST(ModelTest, RemapRejectsUnmappedParameter) {
-  const Model m = lulesh_flop_like();
-  const std::size_t mapping[] = {0};  // drops parameter n, which is used
-  EXPECT_THROW(m.remap_parameters({"p"}, mapping), exareq::InvalidArgument);
 }
 
 TEST(ModelTest, TermRejectsUnknownParameter) {

@@ -8,9 +8,9 @@
 // same model — same term set (order-canonicalized: two engines may walk
 // different greedy paths to the same perfect model, which only permutes
 // the design columns), coefficients to 1e-9 relative — and the CV/quality
-// numbers agree to 1e-12 relative (the downdate reorders floating-point
-// work, so last-ulp drift is expected and bounded). A second check runs
-// both engines over the nine proxy apps' real campaigns.
+// numbers agree within the band diff_quality documents (the downdate
+// reorders floating-point work, so rounding drift is expected). A second
+// check runs both engines over the nine proxy apps' real campaigns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,10 +98,16 @@ std::string render(double value) {
 /// systems any two arithmetic orderings — including two independent
 /// scalar refit loops — drift by eps * kappa * leverage amplification.
 /// Checked against a long-double reference, the true value sits between
-/// the two paths with both equally close; 1e-7 is still five orders below
-/// the smallest score difference that can influence selection
-/// (tie_tolerance = 5e-2), so any real fold-handling bug lands far
-/// outside it.
+/// the two paths with both equally close. The band holds at the default
+/// case counts, but it does not bound the drift, and no drift is too small
+/// to matter: past 1,000 cases, seeds 2-5 each shrink to a five-point grid
+/// whose CV scores differ by 4.9e-7 to 1.2e-4 relative with the same model
+/// selected (docs/TESTING.md, section 3), and a score that close to a tie
+/// band's edge or a growth threshold selects differently on either side.
+/// A real fold-handling defect can sit behind a gap of that size: in the
+/// high-leverage fold case below, the engines' scores of {n^3} differed by
+/// 1.8e-4 relative, and only the whole search showed the batched engine
+/// rejecting the planted model.
 std::string diff_quality(const char* label, double fast, double reference) {
   if (std::isinf(fast) || std::isinf(reference)) {
     if (fast == reference) return {};
@@ -199,6 +205,31 @@ TEST(PropertyBatchedFitterOracleTest, BatchedEngineMatchesScalarRefits) {
                                          planted_dataset_shrinker(), oracle);
   EXPECT_TRUE(result.passed()) << result.report(
       [](const PlantedDataset& d) { return d.describe(); });
+}
+
+TEST(PropertyBatchedFitterOracleTest, HighLeverageFoldMatchesScalarRefits) {
+  // A fixed case: the counterexample seed 5 shrinks to at 1,000 cases.
+  // Under the 1/|y| row weights the n = 2 row's leverage in {1, n^3,
+  // sqrt n} is within 1e-12 of 1, so its downdate is flagged singular; the
+  // batched engine must refit that fold, as the scalar engine does, rather
+  // than reject every hypothesis holding both terms.
+  const auto term = [](double poly, double coefficient) {
+    model::Term t;
+    t.coefficient = coefficient;
+    t.factors = {model::pmnf_factor(0, poly, 0.0)};
+    return t;
+  };
+  PlantedDataset dataset;
+  dataset.axes = {{2.0, 256.0, 512.0, 1024.0, 2048.0}};
+  dataset.constant = 1.478;
+  dataset.terms = {term(3.0, 865.3), term(0.5, 8769.0)};
+  const FitSummary reference =
+      summarize(fit_planted(dataset, /*batched=*/false, /*threads=*/1));
+  for (const int threads : {1, 2, 4}) {
+    const FitSummary fast = summarize(fit_planted(dataset, true, threads));
+    EXPECT_EQ(diff_summaries(fast, reference), "")
+        << dataset.describe() << " at " << threads << " threads";
+  }
 }
 
 TEST(PropertyBatchedFitterOracleTest, BatchedModeActuallySkipsPerFoldSolves) {

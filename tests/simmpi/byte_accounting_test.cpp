@@ -77,18 +77,6 @@ TEST_P(ByteAccountingTest, AlltoallCostsTwoSTimesPMinusOnePerRank) {
   }
 }
 
-TEST_P(ByteAccountingTest, AllgatherCostsTwoSTimesPMinusOnePerRank) {
-  const int p = GetParam();
-  const auto result = run_collective(p, [](Communicator& comm) {
-    const std::vector<double> data(kElements, 1.0);
-    (void)comm.allgather<double>(data);
-  });
-  for (const CommStats& stats : result.stats) {
-    EXPECT_EQ(stats.bytes_total(),
-              kPayload * 2 * static_cast<std::uint64_t>(p - 1));
-  }
-}
-
 TEST_P(ByteAccountingTest, CollectiveCallCountsAreRecorded) {
   const int p = GetParam();
   const auto result = run_collective(p, [](Communicator& comm) {
@@ -109,7 +97,6 @@ TEST(ByteAccountingTest, SingleRankCollectivesMoveNoBytes) {
     const std::vector<double> data(kElements, 1.0);
     (void)comm.allreduce<double>(data, ops::Sum{});
     (void)comm.alltoall<double>(data);
-    (void)comm.allgather<double>(data);
     std::vector<double> b(kElements, 1.0);
     comm.bcast(b, 0);
     comm.barrier();
